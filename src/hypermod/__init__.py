@@ -41,7 +41,6 @@ from .louvain import (
 from .modularity import (
     ModularityContext,
     Partition,
-    gain_of_move,
     modularity,
     null_model_entry,
     same_clustering,
@@ -84,7 +83,6 @@ __all__ = [
     "degree_preserving_reduce",
     "degrees",
     "flatten",
-    "gain_of_move",
     "generate",
     "irmm",
     "load",

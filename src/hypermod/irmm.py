@@ -149,7 +149,7 @@ def irmm(g: Hypergraph, config: IrmmConfig | None = None) -> IrmmResult:
     ``g`` must be preprocessed (every hyperedge degree >= 2). Returns the
     partition of the final round together with the per-round trace; if the
     weights never move less than the threshold within ``max_iters`` rounds
-    the best-so-far result is returned with ``converged`` False.
+    the final round's result is returned with ``converged`` False.
     """
     cfg = config if config is not None else IrmmConfig()
     cfg.validate()

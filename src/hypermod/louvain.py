@@ -5,6 +5,13 @@ cluster with the largest positive modularity gain (ties to the lowest
 cluster id, zero-gain moves rejected). Phase two collapses clusters into
 super-nodes, keeping intra-cluster weight as self-loops, and repeats on
 the aggregated graph until a pass accepts no move.
+
+A node visit costs time in its row length, not in n: a row of at most
+``modularity.SHORT_ROW`` (128) stored entries is accumulated into a dict
+and scored with Python scalars, and a longer row is binned with numpy and
+scored as one array. Both paths add each cluster's weights in row order,
+evaluate the same gain expression, and break ties toward the lowest
+cluster id, so the partitions do not depend on which path a row takes.
 """
 
 from __future__ import annotations
@@ -94,41 +101,74 @@ def _local_moving(ctx: ModularityContext, order, min_gain) -> int:
 
     Candidate targets are the clusters adjacent to the node plus, when the
     node is not alone, the lowest empty cluster (letting a badly placed
-    node step out of an overgrown cluster).
+    node step out of an overgrown cluster). The best gain wins if it
+    exceeds ``min_gain``; equal gains go to the lowest cluster id.
+
+    Each visit makes one ``ctx.neighbor_cluster_weights`` call. For a row
+    of at most ``SHORT_ROW`` entries it returns a dict, and the visit scores
+    every candidate with Python scalars in a loop that keeps the highest
+    gain and, among equal gains, the lowest cluster id. A longer row gets
+    ascending id and weight arrays: one vectorized gain expression and
+    ``argmax`` (the first maximum, so again the lowest id) pick among the
+    adjacent clusters, and the spare cluster is then scored by the scalar
+    loop. Both paths sum each cluster's weights in row order starting from
+    0.0 and evaluate the gain with the same operations in the same order,
+    so they choose the same moves bit for bit.
     """
     assignment = ctx.assignment
     degrees = ctx.degrees
     sigma_tot = ctx.sigma_tot
+    sizes = ctx.sizes
     two_m = ctx.two_m
+    two_m_sq = two_m * two_m
+    tot_of = sigma_tot.item
     total = 0
+    order = order.tolist()
     while True:
         moves = 0
         for u in order:
-            a = assignment[u]
-            cand, weights = ctx.neighbor_cluster_weights(u)
-            if cand.size == 0:
-                continue
-            s_a = ctx._weight_to(cand, weights, a)
-            other = cand != a
-            cand = cand[other]
-            weights = weights[other]
-            if ctx.sizes[a] > 1:
+            neighbors = ctx.neighbor_cluster_weights(u)
+            a = assignment.item(u)
+            k = degrees.item(u)
+            k2 = 2.0 * k
+            tot_a_without = tot_of(a) - k
+            best, best_gain, s_to = -1, min_gain, 0.0
+            if isinstance(neighbors, dict):
+                if not neighbors:
+                    continue
+                s_a = neighbors.pop(a, 0.0)
+                scalar = neighbors
+            else:
+                cand, weights = neighbors
+                if cand.size == 0:
+                    continue
+                s_a = ctx._weight_to(neighbors, a)
+                other = cand != a
+                cand = cand[other]
+                weights = weights[other]
+                if cand.size:
+                    gains = (
+                        2.0 * (weights - s_a) / two_m
+                        - k2 * (sigma_tot[cand] - tot_a_without) / two_m_sq
+                    )
+                    i = int(np.argmax(gains))
+                    if gains[i] > min_gain:
+                        best, best_gain = int(cand[i]), gains[i]
+                        s_to = float(weights[i])
+                scalar = {}
+            if sizes.item(a) > 1:
                 spare = ctx.first_empty_cluster()
                 if spare >= 0:
-                    at = int(np.searchsorted(cand, spare))
-                    cand = np.insert(cand, at, spare)
-                    weights = np.insert(weights, at, 0.0)
-            if cand.size == 0:
-                continue
-            k = degrees[u]
-            tot_a_without = sigma_tot[a] - k
-            gains = (
-                2.0 * (weights - s_a) / two_m
-                - 2.0 * k * (sigma_tot[cand] - tot_a_without) / (two_m * two_m)
-            )
-            best = int(np.argmax(gains))
-            if gains[best] > min_gain:
-                ctx.move(u, int(cand[best]), s_frm=s_a, s_to=float(weights[best]))
+                    scalar[spare] = 0.0
+            for c, w in scalar.items():
+                gain = (
+                    2.0 * (w - s_a) / two_m
+                    - k2 * (tot_of(c) - tot_a_without) / two_m_sq
+                )
+                if gain > best_gain or (gain == best_gain and c < best):
+                    best, best_gain, s_to = c, gain, w
+            if best >= 0:
+                ctx.move(u, best, s_frm=s_a, s_to=s_to)
                 moves += 1
         total += moves
         if moves == 0:

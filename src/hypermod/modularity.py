@@ -15,12 +15,15 @@ import heapq
 
 import numpy as np
 
+# Rows with at most this many stored entries are scanned with Python scalars
+# in ``ModularityContext.neighbor_cluster_weights``; longer rows take numpy.
+SHORT_ROW = 128
+
 __all__ = [
     "Partition",
     "ModularityContext",
     "null_model_entry",
     "modularity",
-    "gain_of_move",
     "same_clustering",
 ]
 
@@ -160,11 +163,31 @@ class ModularityContext:
     def neighbor_cluster_weights(self, node):
         """Clusters adjacent to ``node`` and the edge weight into each.
 
-        Returns (cluster_ids ascending, weights); the node's self-loop is
-        excluded.
+        The node's self-loop is excluded, and so is a cluster whose weights
+        sum to zero. A row of at most ``SHORT_ROW`` stored entries gives a
+        dict {cluster id: weight} accumulated with Python scalars; a longer
+        row gives (cluster ids ascending, weights) arrays from one bincount.
+        Both forms add each cluster's weights in row order starting from
+        0.0, so their sums are bit-identical.
         """
-        lo, hi = self._indptr[node], self._indptr[node + 1]
+        lo, hi = self._indptr.item(node), self._indptr.item(node + 1)
         cols = self._indices[lo:hi]
+        if hi - lo <= SHORT_ROW:
+            acc = {}
+            get = acc.get
+            labels = self.assignment.take(cols).tolist()
+            vals = self._data[lo:hi].tolist()
+            if self.self_loops.item(node):
+                for col, c, w in zip(cols.tolist(), labels, vals):
+                    if col != node:
+                        acc[c] = get(c, 0.0) + w
+            else:
+                # A zero self-loop adds 0.0, which leaves every sum as it is.
+                for c, w in zip(labels, vals):
+                    acc[c] = get(c, 0.0) + w
+            if 0.0 in acc.values():
+                acc = {c: w for c, w in acc.items() if w}
+            return acc
         vals = self._data[lo:hi]
         other = cols != node
         if not other.all():
@@ -177,7 +200,12 @@ class ModularityContext:
         cand = np.flatnonzero(sums)
         return cand, sums[cand]
 
-    def _weight_to(self, cand, weights, cluster):
+    @staticmethod
+    def _weight_to(neighbors, cluster):
+        """Weight into ``cluster`` from a ``neighbor_cluster_weights`` result."""
+        if isinstance(neighbors, dict):
+            return neighbors.get(cluster, 0.0)
+        cand, weights = neighbors
         pos = np.searchsorted(cand, cluster)
         if pos < cand.size and cand[pos] == cluster:
             return float(weights[pos])
@@ -189,9 +217,9 @@ class ModularityContext:
             raise ValueError(f"node {node} is not in cluster {frm}")
         if frm == to:
             return 0.0
-        cand, weights = self.neighbor_cluster_weights(node)
-        s_frm = self._weight_to(cand, weights, frm)
-        s_to = self._weight_to(cand, weights, to)
+        neighbors = self.neighbor_cluster_weights(node)
+        s_frm = self._weight_to(neighbors, frm)
+        s_to = self._weight_to(neighbors, to)
         k = self.degrees[node]
         two_m = self.two_m
         tot_frm_without = self.sigma_tot[frm] - k
@@ -210,9 +238,9 @@ class ModularityContext:
         if frm == to:
             return
         if s_frm is None or s_to is None:
-            cand, weights = self.neighbor_cluster_weights(node)
-            s_frm = self._weight_to(cand, weights, frm)
-            s_to = self._weight_to(cand, weights, to)
+            neighbors = self.neighbor_cluster_weights(node)
+            s_frm = self._weight_to(neighbors, frm)
+            s_to = self._weight_to(neighbors, to)
         k = self.degrees[node]
         loop = self.self_loops[node]
         self.sigma_tot[frm] -= k
@@ -247,8 +275,3 @@ def null_model_entry(ctx, i, j) -> float:
     else:
         d, two_m = ctx.node_degrees, ctx.total_weight_2m
     return float(d[i] * d[j] / two_m)
-
-
-def gain_of_move(ctx: ModularityContext, node, frm, to) -> float:
-    """Modularity change of moving ``node`` from ``frm`` to ``to``."""
-    return ctx.gain_of_move(node, frm, to)

@@ -124,3 +124,76 @@ def expansion_by_pairs(g, edge_scale):
         A[np.ix_(edge, edge)] += s
     np.fill_diagonal(A, 0.0)
     return A
+
+
+def _neighbor_cluster_weights_reference(ctx, node):
+    """Clusters adjacent to ``node`` (ascending) and the weight into each,
+    self-loop excluded, from one bincount over the whole id range."""
+    lo, hi = ctx._indptr[node], ctx._indptr[node + 1]
+    cols = ctx._indices[lo:hi]
+    vals = ctx._data[lo:hi]
+    other = cols != node
+    if not other.all():
+        cols = cols[other]
+        vals = vals[other]
+    if cols.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, np.empty(0)
+    sums = np.bincount(ctx.assignment[cols], weights=vals)
+    cand = np.flatnonzero(sums)
+    return cand, sums[cand]
+
+
+def _weight_to_reference(cand, weights, cluster):
+    pos = np.searchsorted(cand, cluster)
+    if pos < cand.size and cand[pos] == cluster:
+        return float(weights[pos])
+    return 0.0
+
+
+def local_moving_reference(ctx, order, min_gain):
+    """Louvain local moving with every visit vectorized over numpy arrays.
+
+    The candidate set (adjacent clusters plus, for a node that is not
+    alone, the lowest empty cluster inserted in id order) is scored with
+    one array expression and the first maximum wins. Reads the row
+    through its own bincount scan; uses ``ctx`` only for the tracked sums,
+    the empty-cluster heap and ``move``.
+    """
+    assignment = ctx.assignment
+    degrees = ctx.degrees
+    sigma_tot = ctx.sigma_tot
+    two_m = ctx.two_m
+    total = 0
+    while True:
+        moves = 0
+        for u in order:
+            a = assignment[u]
+            cand, weights = _neighbor_cluster_weights_reference(ctx, u)
+            if cand.size == 0:
+                continue
+            s_a = _weight_to_reference(cand, weights, a)
+            other = cand != a
+            cand = cand[other]
+            weights = weights[other]
+            if ctx.sizes[a] > 1:
+                spare = ctx.first_empty_cluster()
+                if spare >= 0:
+                    at = int(np.searchsorted(cand, spare))
+                    cand = np.insert(cand, at, spare)
+                    weights = np.insert(weights, at, 0.0)
+            if cand.size == 0:
+                continue
+            k = degrees[u]
+            tot_a_without = sigma_tot[a] - k
+            gains = (
+                2.0 * (weights - s_a) / two_m
+                - 2.0 * k * (sigma_tot[cand] - tot_a_without) / (two_m * two_m)
+            )
+            best = int(np.argmax(gains))
+            if gains[best] > min_gain:
+                ctx.move(u, int(cand[best]), s_frm=s_a, s_to=float(weights[best]))
+                moves += 1
+        total += moves
+        if moves == 0:
+            return total

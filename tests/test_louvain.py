@@ -1,21 +1,33 @@
+import importlib
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from hypermod import (
     Dendrogram,
+    GenConfig,
     Hypergraph,
     LouvainConfig,
+    ModularityContext,
     Partition,
+    ReducedGraph,
     aggregate,
     degree_preserving_reduce,
     flatten,
+    generate,
     louvain,
     modularity,
+    preprocess,
     same_clustering,
 )
+from hypermod.louvain import _local_moving
 
 from conftest import random_hypergraph
-from oracles import max_modularity_exhaustive
+from oracles import local_moving_reference, max_modularity_exhaustive
+
+# The package re-exports the function ``modularity`` under the module's name.
+SHORT_ROW = importlib.import_module("hypermod.modularity").SHORT_ROW
 
 
 def small_random_hypergraph(rng):
@@ -171,3 +183,206 @@ class TestDendrogram:
             current = aggregate(current, level)
         # Composed modularity equals the last level's on its own graph.
         assert res.modularity == pytest.approx(previous_q, abs=1e-10)
+
+
+def row_lengths(graph):
+    return np.diff(graph.adjacency.indptr)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def run_both(graph, init=None, order=None, min_gain=1e-9, pre_moves=()):
+    """Run ``_local_moving`` and the vectorized reference on twin contexts.
+
+    ``pre_moves`` are (node, cluster) moves applied to both contexts first,
+    e.g. to leave an empty cluster behind. Asserts that the move counts and
+    the tracked state agree bit for bit, and returns the library's context
+    and the target-was-empty flag of each move it made.
+    """
+    ours, ref = ModularityContext(graph, init), ModularityContext(graph, init)
+    for ctx in (ours, ref):
+        for node, to in pre_moves:
+            ctx.move(node, to)
+    into_empty = []
+    move = ours.move
+
+    def recording_move(node, to, **kwargs):
+        into_empty.append(bool(ours.sizes[to] == 0))
+        move(node, to, **kwargs)
+
+    ours.move = recording_move
+    order = np.arange(graph.n) if order is None else order
+    got = _local_moving(ours, order, min_gain)
+    want = local_moving_reference(ref, order, min_gain)
+    assert got == want
+    for attr in ("assignment", "sigma_tot", "sigma_in", "sizes"):
+        assert same_bits(getattr(ours, attr), getattr(ref, attr)), attr
+    return ours, into_empty
+
+
+def generated(seed, **settings):
+    g, _ = generate(GenConfig(seed=seed, **settings))
+    return degree_preserving_reduce(preprocess(g))
+
+
+def sparse_generated(seed, n=300):
+    return generated(seed, n=n, classes=10, size_buckets=((1.0, 2, 6),))
+
+
+def straddling_graph(seed):
+    """Small hyperedges plus a few of about SHORT_ROW nodes, so that row
+    lengths fall on both sides of the cutoff and right at it."""
+    rng = np.random.default_rng(seed)
+    n = 400
+    edges = [
+        rng.choice(n, size=int(rng.integers(2, 7)), replace=False)
+        for _ in range(600)
+    ]
+    edges += [
+        rng.choice(n, size=size, replace=False)
+        for size in (SHORT_ROW - 1, SHORT_ROW, SHORT_ROW + 1, SHORT_ROW + 2)
+    ]
+    weights = rng.uniform(0.5, 3.0, size=len(edges))
+    return degree_preserving_reduce(Hypergraph(n, edges, weights))
+
+
+def unit_graph(n, pairs):
+    rows, cols = np.array(pairs).T
+    adjacency = sparse.coo_matrix((np.ones(len(pairs)), (rows, cols)), shape=(n, n))
+    return ReducedGraph(adjacency + adjacency.T)
+
+
+def spare_wins_graph(links):
+    """Node 0 shares cluster 0 with node ``last`` but has no edge to it.
+    Its ``links`` unit edges all go into cluster 1, which holds the heavy
+    triangle {1, 2, 3}, and a self-loop makes its degree large. Node
+    ``last - 1`` is a singleton tied to the triangle. For node 0, leaving
+    for an empty cluster beats joining cluster 1."""
+    heavy = [1, 2, 3]
+    targets = [1] + list(range(4, 4 + links - 1))
+    last = 4 + links
+    n = last + 1
+    pairs = [(1, 2), (1, 3), (2, 3)] * 20
+    pairs += [(0, t) for t in targets] + [(t, 1) for t in targets[1:]]
+    pairs += [(last - 1, 2), (last, 3)]
+    graph = unit_graph(n, pairs)
+    adjacency = graph.adjacency.tolil()
+    adjacency[0, 0] = 40.0 * links
+    graph = ReducedGraph(adjacency)
+    labels = np.zeros(n, dtype=np.int64)
+    labels[heavy] = 1
+    labels[targets[1:]] = 1
+    labels[last - 1] = 2
+    # Moving the singleton out empties cluster 2 before node 0 is visited.
+    return graph, Partition(labels), [(last - 1, 1)]
+
+
+def spare_ties_graph(entries):
+    """Node 0 gains exactly as much (1/16, all values dyadic) by leaving for
+    the empty cluster 1 as by joining cluster 2, through ``entries`` edges.
+
+    Degrees: node 0 has 128 in edges to cluster 2 plus a 128 self-loop;
+    cluster 2 totals 512, node 1 (node 0's cluster mate, not adjacent) 128,
+    and the edge 2-3 weighs 64, so 2m = 1024. Moving node 2 to node 3's
+    cluster empties cluster 1 first.
+    """
+    n = 4 + entries
+    adjacency = sparse.lil_matrix((n, n))
+    for x in range(4, n):
+        adjacency[0, x] = adjacency[x, 0] = 128.0 / entries
+    adjacency[0, 0] = 128.0
+    adjacency[4, 4] = 384.0
+    adjacency[1, 1] = 128.0
+    adjacency[2, 3] = adjacency[3, 2] = 64.0
+    graph = ReducedGraph(adjacency)
+    assert graph.total_weight_2m == 1024.0
+    labels = np.array([0, 0, 1, 3] + [2] * entries)
+    return graph, Partition(labels), [(2, 3)]
+
+
+class TestLocalMovingMatchesReference:
+    """The dict-based short-row visits and the scalar-scored spare cluster
+    give the same moves, bit for bit, as the all-numpy loop."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sparse_generator(self, seed):
+        graph = sparse_generated(seed)
+        assert row_lengths(graph).max() <= SHORT_ROW
+        run_both(graph)
+
+    def test_dense_generator_long_rows(self):
+        graph = generated(5, n=250)
+        assert row_lengths(graph).min() > SHORT_ROW
+        run_both(graph)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_rows_straddling_the_cutoff(self, seed):
+        graph = straddling_graph(seed)
+        lengths = row_lengths(graph)
+        assert (lengths <= SHORT_ROW).any() and (lengths > SHORT_ROW).any()
+        assert (lengths == SHORT_ROW).any() or (lengths == SHORT_ROW + 1).any()
+        run_both(graph)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: sparse_generated(6), lambda: straddling_graph(7),
+         lambda: generated(8, n=250)],
+        ids=["sparse", "straddling", "dense"],
+    )
+    def test_aggregated_graphs_with_self_loops(self, make):
+        graph = make()
+        for _ in range(3):
+            ctx, _ = run_both(graph)
+            part = Partition.from_labels(ctx.assignment)
+            if part.c == graph.n:
+                break
+            graph = aggregate(graph, part)
+            assert graph.self_loops.any()
+            # From singletons, and from a partition with clusters to leave.
+            run_both(graph, init=Partition(np.arange(graph.n) // 2))
+
+    @pytest.mark.parametrize("seed", [9, 10, 11])
+    def test_shuffled_orders(self, seed):
+        rng = np.random.default_rng(seed)
+        for graph in (sparse_generated(seed, n=200), straddling_graph(seed)):
+            run_both(graph, order=rng.permutation(graph.n))
+
+    def test_initial_partition(self):
+        graph = straddling_graph(12)
+        labels = np.random.default_rng(12).integers(0, 15, size=graph.n)
+        run_both(graph, init=Partition.from_labels(labels))
+
+    @pytest.mark.parametrize("n", [6, 12, 13])
+    def test_ties_on_a_cycle(self, n):
+        graph = unit_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        rng = np.random.default_rng(n)
+        run_both(graph)
+        run_both(graph, order=np.arange(n)[::-1].copy())
+        run_both(graph, init=Partition(np.arange(n)[::-1].copy()))
+        for _ in range(5):
+            run_both(graph, order=rng.permutation(n))
+
+    def test_ties_on_complete_bipartite(self):
+        graph = unit_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+        rng = np.random.default_rng(33)
+        run_both(graph)
+        for labels in ([5, 4, 3, 2, 1, 0], [0, 1, 0, 1, 2, 2], [2, 0, 1, 1, 0, 2]):
+            run_both(graph, init=Partition(labels))
+        for _ in range(5):
+            run_both(graph, order=rng.permutation(6))
+
+    @pytest.mark.parametrize("links", [1, SHORT_ROW + 10])
+    def test_spare_cluster_wins(self, links):
+        graph, init, pre_moves = spare_wins_graph(links)
+        assert (row_lengths(graph)[0] > SHORT_ROW) == (links > SHORT_ROW)
+        ctx, into_empty = run_both(graph, init=init, pre_moves=pre_moves)
+        assert into_empty[0]
+
+    @pytest.mark.parametrize("entries", [2, 2 * SHORT_ROW])
+    def test_spare_cluster_wins_a_tie_by_lower_id(self, entries):
+        graph, init, pre_moves = spare_ties_graph(entries)
+        assert (row_lengths(graph)[0] > SHORT_ROW) == (entries > SHORT_ROW)
+        ctx, into_empty = run_both(graph, init=init, pre_moves=pre_moves)
+        assert into_empty[0]

@@ -1,19 +1,25 @@
+import importlib
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from hypermod import (
     Hypergraph,
     ModularityContext,
     Partition,
+    ReducedGraph,
     clique_reduce,
     degree_preserving_reduce,
-    gain_of_move,
     modularity,
     null_model_entry,
     same_clustering,
 )
 
 from conftest import random_dyadic_hypergraph, random_hypergraph
+
+# The package re-exports the function ``modularity`` under the module's name.
+SHORT_ROW = importlib.import_module("hypermod.modularity").SHORT_ROW
 from oracles import modularity_double_sum, modularity_double_sum_fast
 
 
@@ -134,39 +140,79 @@ class TestModularityValue:
             assert q_hyp == pytest.approx(oracle, abs=1e-12)
 
 
+class TestNeighborClusterWeights:
+    @pytest.mark.parametrize("others", [5, SHORT_ROW + 5])
+    def test_both_row_forms(self, others):
+        # Node 0: a self-loop, an explicit zero entry to node 1 (alone in
+        # cluster 1), and unit edges to the other nodes, split over
+        # clusters 2 and 3.
+        n = 2 + others
+        rows = [0] + [0] * (n - 1) + list(range(1, n))
+        cols = [0] + list(range(1, n)) + [0] * (n - 1)
+        vals = [5.0] + 2 * ([0.0] + [1.0] * others)
+        graph = ReducedGraph(sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+        assert graph.adjacency.nnz == 1 + 2 * (others + 1)
+        labels = np.array([0, 1] + [2 + (i % 2) for i in range(others)])
+        ctx = ModularityContext(graph, Partition(labels))
+        neighbors = ctx.neighbor_cluster_weights(0)
+        if others + 2 <= SHORT_ROW:
+            assert neighbors == {2: float((others + 1) // 2), 3: float(others // 2)}
+        else:
+            cand, weights = neighbors
+            assert cand.tolist() == [2, 3]
+            assert weights.tolist() == [(others + 1) // 2, others // 2]
+        for cluster, weight in ((0, 0.0), (1, 0.0), (2, (others + 1) // 2)):
+            assert ctx._weight_to(neighbors, cluster) == weight
+
+
+def check_gains_against_recompute(n_max, max_degree):
+    """Twenty random single moves: the predicted gain equals the change in
+    from-scratch modularity. Returns how many moved nodes had long rows."""
+    rng = np.random.default_rng(37)
+    long_rows = 0
+    for _ in range(20):
+        g = random_hypergraph(rng, n_max=n_max, max_degree=max_degree)
+        rg = degree_preserving_reduce(g)
+        labels = rng.integers(0, 3, size=g.n)
+        p = Partition.from_labels(labels)
+        ctx = ModularityContext(rg, p)
+        node = int(rng.integers(g.n))
+        frm = int(ctx.assignment[node])
+        to = int(rng.integers(p.c))
+        before = modularity(rg, Partition.from_labels(ctx.assignment))
+        gain = ctx.gain_of_move(node, frm, to)
+        ctx.move(node, to)
+        after = modularity(rg, Partition.from_labels(ctx.assignment))
+        assert gain == pytest.approx(after - before, abs=1e-10)
+        long_rows += int(np.diff(rg.adjacency.indptr)[node] > SHORT_ROW)
+    return long_rows
+
+
 class TestGainOfMove:
     def test_move_to_own_cluster_is_zero(self):
         rg = degree_preserving_reduce(two_triangles())
         ctx = ModularityContext(rg)
-        assert gain_of_move(ctx, 0, 0, 0) == 0.0
+        assert ctx.gain_of_move(0, 0, 0) == 0.0
 
     def test_dyadic_merge_gain(self):
         rg = degree_preserving_reduce(Hypergraph(2, [[0, 1]]))
         ctx = ModularityContext(rg)
-        assert gain_of_move(ctx, 0, 0, 1) == pytest.approx(0.5, abs=1e-15)
+        assert ctx.gain_of_move(0, 0, 1) == pytest.approx(0.5, abs=1e-15)
 
     def test_wrong_source_cluster_rejected(self):
         rg = degree_preserving_reduce(Hypergraph(2, [[0, 1]]))
         ctx = ModularityContext(rg)
         with pytest.raises(ValueError, match="not in cluster"):
-            gain_of_move(ctx, 0, 1, 0)
+            ctx.gain_of_move(0, 1, 0)
 
     def test_gain_matches_full_recompute(self):
-        rng = np.random.default_rng(37)
-        for _ in range(20):
-            g = random_hypergraph(rng, n_max=25)
-            rg = degree_preserving_reduce(g)
-            labels = rng.integers(0, 3, size=g.n)
-            p = Partition.from_labels(labels)
-            ctx = ModularityContext(rg, p)
-            node = int(rng.integers(g.n))
-            frm = int(ctx.assignment[node])
-            to = int(rng.integers(p.c))
-            before = modularity(rg, Partition.from_labels(ctx.assignment))
-            gain = gain_of_move(ctx, node, frm, to)
-            ctx.move(node, to)
-            after = modularity(rg, Partition.from_labels(ctx.assignment))
-            assert gain == pytest.approx(after - before, abs=1e-10)
+        check_gains_against_recompute(n_max=25, max_degree=8)
+
+    def test_gain_matches_full_recompute_on_long_rows(self):
+        # Rows longer than SHORT_ROW return their neighbor weights as
+        # arrays instead of a dict.
+        long_rows = check_gains_against_recompute(n_max=300, max_degree=300)
+        assert long_rows > 0
 
     def test_summed_gains_telescope(self):
         rng = np.random.default_rng(41)
@@ -179,7 +225,7 @@ class TestGainOfMove:
             node = int(rng.integers(g.n))
             to = int(rng.integers(g.n))
             frm = int(ctx.assignment[node])
-            total += gain_of_move(ctx, node, frm, to)
+            total += ctx.gain_of_move(node, frm, to)
             ctx.move(node, to)
         q_end = modularity(rg, Partition.from_labels(ctx.assignment))
         assert total == pytest.approx(q_end - q_start, abs=1e-8)
