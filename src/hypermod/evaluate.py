@@ -24,16 +24,20 @@ def symmetric_f1(pred: Partition, truth: Partition) -> float:
     """
     if len(pred) != len(truth):
         raise ValueError("partitions cover different node sets")
-    cp, ct = pred.c, truth.c
-    overlap = np.bincount(
-        pred.assignment * ct + truth.assignment, minlength=cp * ct
-    ).reshape(cp, ct)
+    ct = truth.c
+    pairs, overlap = np.unique(
+        pred.assignment * ct + truth.assignment, return_counts=True
+    )
+    p, t = np.divmod(pairs, ct)
     # 2pr/(p+r) collapses to 2|P∩T| / (|P|+|T|).
-    denom = pred.cluster_sizes[:, None] + truth.cluster_sizes[None, :]
-    f1 = 2.0 * overlap / denom
-    forward = f1.max(axis=1).mean()
-    backward = f1.max(axis=0).mean()
-    return float((forward + backward) / 2.0)
+    f1 = 2.0 * overlap / (pred.cluster_sizes[p] + truth.cluster_sizes[t])
+    # Only the pairs that occur are scored: every cluster meets some class,
+    # so its best F1 is positive and among them.
+    forward = np.zeros(pred.c)
+    np.maximum.at(forward, p, f1)
+    backward = np.zeros(ct)
+    np.maximum.at(backward, t, f1)
+    return float((forward.mean() + backward.mean()) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -56,17 +60,24 @@ def cut_stats(g: Hypergraph, partition: Partition) -> CutStats:
     """Per-hyperedge cut counts and the relative-size histogram."""
     if len(partition) != g.n:
         raise ValueError("partition does not cover the hypergraph's nodes")
-    counts_per_edge = []
-    bins = np.empty(g.m, dtype=np.int64)
-    rel = np.empty(g.m)
-    for j, edge in enumerate(g.edges):
-        _, counts = np.unique(partition.assignment[edge], return_counts=True)
-        counts_per_edge.append(counts)
-        top = int(counts.max())
-        delta = edge.size
-        rel[j] = top / delta
-        # Right-inclusive binning done in integers so exact boundaries such
-        # as 9/10 land in (0.8, 0.9] despite floating-point rounding.
-        bins[j] = -(-10 * top // delta) - 1
+    delta = g.edge_degrees
+    c = partition.c
+    edge_of = np.repeat(np.arange(g.m), delta)
+    # Keys (edge, cluster) sort by edge, then cluster, so each edge's
+    # counts come out in ascending cluster order.
+    keys, counts = np.unique(
+        edge_of * c + partition.assignment[g.pins], return_counts=True
+    )
+    per_edge = np.bincount(keys // c, minlength=g.m)
+    ends = np.cumsum(per_edge)
+    top = np.maximum.reduceat(counts, ends - per_edge)
+    rel = top / delta
+    # Right-inclusive binning done in integers so exact boundaries such
+    # as 9/10 land in (0.8, 0.9] despite floating-point rounding.
+    bins = -(-10 * top // delta) - 1
     hist = np.bincount(bins, minlength=HISTOGRAM_BINS) / g.m
+    bounds = ends.tolist()
+    counts_per_edge = [
+        counts[lo:hi] for lo, hi in zip([0] + bounds[:-1], bounds)
+    ]
     return CutStats(counts_per_edge, rel, hist)

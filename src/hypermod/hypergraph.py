@@ -10,6 +10,7 @@ are comments.
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,11 +39,18 @@ class FormatError(ValueError):
     """A hypergraph or label file could not be parsed."""
 
 
+_MAX_INDEX = int(np.iinfo(np.int64).max)
+
+
 class Hypergraph:
     """Weighted hypergraph over nodes ``0 .. n-1``.
 
     Duplicate node mentions within a hyperedge are dropped silently, so a
     hyperedge's degree is the number of distinct nodes it contains.
+    The hyperedges are stored as ``pins``: the sorted distinct nodes of
+    every hyperedge, concatenated in edge order, hyperedge j taking the
+    next ``edge_degrees[j]`` entries. ``edges`` gives the same nodes as
+    one array per hyperedge.
     ``node_labels`` optionally records external identifiers (1-based file
     indices for loaded graphs); it is carried through preprocessing so
     results can be reported against the original numbering.
@@ -54,50 +62,68 @@ class Hypergraph:
         n = int(n)
         if n < 1:
             raise ValueError("node count must be at least 1")
-        parsed = []
-        for idx, edge in enumerate(edges):
-            nodes = np.unique(np.asarray(edge, dtype=np.int64))
-            if nodes.size == 0:
-                raise ValueError(f"hyperedge {idx} has no nodes")
-            if nodes[0] < 0 or nodes[-1] >= n:
-                raise ValueError(
-                    f"hyperedge {idx} has a node index outside [0, {n})"
-                )
-            parsed.append(nodes)
-        if not parsed:
+        arrays = [np.asarray(edge, dtype=np.int64).ravel() for edge in edges]
+        m = len(arrays)
+        if m == 0:
             raise ValueError("hypergraph must have at least one hyperedge")
+        sizes = np.fromiter((a.size for a in arrays), dtype=np.int64, count=m)
+        flat = np.concatenate(arrays)
+        edge_of = np.repeat(np.arange(m), sizes)
+        first_bad = np.concatenate((
+            np.flatnonzero(sizes == 0)[:1], edge_of[(flat < 0) | (flat >= n)][:1]
+        ))
+        if first_bad.size:
+            idx = int(first_bad.min())
+            if sizes[idx] == 0:
+                raise ValueError(f"hyperedge {idx} has no nodes")
+            raise ValueError(f"hyperedge {idx} has a node index outside [0, {n})")
 
-        if weights is None:
-            w = np.ones(len(parsed))
+        # Sort the nodes within each hyperedge, then drop repeats.
+        if m * n < 2**63:
+            offset = edge_of * n
+            flat = np.sort(offset + flat) - offset
         else:
-            w = np.asarray(weights, dtype=np.float64).copy()
-            if w.shape != (len(parsed),):
-                raise ValueError("need exactly one weight per hyperedge")
-            if not np.all(np.isfinite(w)) or np.any(w <= 0):
-                raise ValueError("hyperedge weights must be finite and positive")
+            flat = flat[np.lexsort((flat, edge_of))]
+        fresh = np.ones(flat.size, dtype=bool)
+        fresh[1:] = (flat[1:] != flat[:-1]) | (edge_of[1:] != edge_of[:-1])
 
+        w = _edge_weights(weights, m)
         if node_labels is not None:
             node_labels = np.asarray(node_labels, dtype=np.int64).copy()
             if node_labels.shape != (n,):
                 raise ValueError("need exactly one label per node")
 
         self.n = n
-        self.m = len(parsed)
-        self.edges = tuple(parsed)
+        self.m = m
+        self.pins = flat[fresh]
+        self.edge_degrees = np.bincount(edge_of[fresh], minlength=m)
         self.weights = w
         self.node_labels = node_labels
 
+    @classmethod
+    def _from_pins(cls, n, pins, edge_degrees, weights, node_labels):
+        """Instance over arrays that already meet the class invariants."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.m = edge_degrees.size
+        g.pins = pins
+        g.edge_degrees = edge_degrees
+        g.weights = weights
+        g.node_labels = node_labels
+        return g
+
     @cached_property
-    def edge_degrees(self):
-        """Number of distinct nodes per hyperedge."""
-        return np.array([e.size for e in self.edges], dtype=np.int64)
+    def edges(self):
+        """Sorted distinct node indices of each hyperedge (views of ``pins``)."""
+        ends = np.cumsum(self.edge_degrees).tolist()
+        pins = self.pins
+        return tuple(pins[lo:hi] for lo, hi in zip([0] + ends[:-1], ends))
 
     @cached_property
     def _incidence(self):
-        row = np.concatenate(self.edges)
         col = np.repeat(np.arange(self.m), self.edge_degrees)
         mat = sparse.csr_matrix(
-            (np.ones(row.size), (row, col)), shape=(self.n, self.m)
+            (np.ones(self.pins.size), (self.pins, col)), shape=(self.n, self.m)
         )
         mat.sort_indices()
         return mat
@@ -107,8 +133,17 @@ class Hypergraph:
         return self._incidence
 
     def with_weights(self, weights):
-        """Copy of this hypergraph with a new weight vector."""
-        return Hypergraph(self.n, self.edges, weights, self.node_labels)
+        """Copy of this hypergraph with a new weight vector.
+
+        Only the new weights are validated. The copy shares ``pins``,
+        ``edge_degrees``, ``node_labels`` and the incidence matrix, built
+        here once, with this instance.
+        """
+        weights = _edge_weights(weights, self.m)
+        self.incidence()
+        g = copy.copy(self)
+        g.weights = weights
+        return g
 
     def __eq__(self, other):
         if not isinstance(other, Hypergraph):
@@ -123,10 +158,24 @@ class Hypergraph:
             self.node_labels, other.node_labels
         ):
             return False
-        return all(np.array_equal(a, b) for a, b in zip(self.edges, other.edges))
+        return np.array_equal(
+            self.edge_degrees, other.edge_degrees
+        ) and np.array_equal(self.pins, other.pins)
 
     def __repr__(self):
         return f"Hypergraph(n={self.n}, m={self.m})"
+
+
+def _edge_weights(weights, m):
+    """Validated float64 copy of one weight per hyperedge (ones if None)."""
+    if weights is None:
+        return np.ones(m)
+    w = np.asarray(weights, dtype=np.float64).copy()
+    if w.shape != (m,):
+        raise ValueError("need exactly one weight per hyperedge")
+    if not np.all(np.isfinite(w)) or np.any(w <= 0):
+        raise ValueError("hyperedge weights must be finite and positive")
+    return w
 
 
 @dataclass(frozen=True)
@@ -176,10 +225,12 @@ def _parse_hmetis(text):
         raise FormatError(f"line {lineno}: unsupported fmt code {fmt!r}")
     if m < 1 or n < 1:
         raise FormatError(f"line {lineno}: m and n must be positive")
+    if n > _MAX_INDEX:
+        raise FormatError(f"line {lineno}: n must fit a 64-bit integer")
     weighted = fmt == "1"
 
     edges = []
-    weights = np.ones(m)
+    weights = []
     for lineno, tokens in rows:
         if len(edges) == m:
             raise FormatError(f"line {lineno}: more than {m} hyperedge lines")
@@ -192,7 +243,7 @@ def _parse_hmetis(text):
                 ) from None
             if not np.isfinite(w) or w <= 0:
                 raise FormatError(f"line {lineno}: weight must be positive")
-            weights[len(edges)] = w
+            weights.append(w)
             tokens = tokens[1:]
         try:
             nodes = [int(t) for t in tokens]
@@ -209,7 +260,9 @@ def _parse_hmetis(text):
 
     if len(edges) != m:
         raise FormatError(f"expected {m} hyperedge lines, found {len(edges)}")
-    return Hypergraph(n, edges, weights, node_labels=np.arange(1, n + 1))
+    return Hypergraph(
+        n, edges, weights if weighted else None, node_labels=np.arange(1, n + 1)
+    )
 
 
 def loads(text: str, format: str = "hmetis") -> Hypergraph:
@@ -245,9 +298,12 @@ def load_labels(path) -> np.ndarray:
         if len(tokens) != 1:
             raise FormatError(f"line {lineno}: expected one label per line")
         try:
-            labels.append(int(tokens[0]))
+            label = int(tokens[0])
         except ValueError:
             raise FormatError(f"line {lineno}: labels must be integers") from None
+        if not -_MAX_INDEX - 1 <= label <= _MAX_INDEX:
+            raise FormatError(f"line {lineno}: label must fit a 64-bit integer")
+        labels.append(label)
     if not labels:
         raise FormatError("empty label file")
     return np.asarray(labels, dtype=np.int64)
@@ -261,76 +317,67 @@ def write_labels(labels, path) -> None:
     )
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
+def _component_labels(n, pins, degrees):
+    """Lowest node index in each node's component, nodes joined by edges.
 
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+    Edge j has the next ``degrees[j]`` (at least one) of ``pins``. Each
+    round hooks the root of every pin onto the lowest root among its
+    edge's pins, then jumps pointers until every node points at a root. A
+    label only ever falls and stays in its component, so the component's
+    lowest node is its one root once no hook changes anything.
+    """
+    starts = np.cumsum(degrees) - degrees
+    edge_of = np.repeat(np.arange(degrees.size), degrees)
+    label = np.arange(n)
+    while True:
+        root = label[pins]
+        lowest = np.minimum.reduceat(root, starts)[edge_of]
+        if np.array_equal(root, lowest):
+            return label
+        np.minimum.at(label, root, lowest)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 def preprocess(g: Hypergraph) -> Hypergraph:
     """Drop singleton hyperedges and keep the largest connected component.
 
-    Nodes are connected when they share a hyperedge. Ties between equally
-    large components go to the one containing the lowest node index. Node
-    indices are compacted; prior identifiers (or, failing that, the current
-    indices) are preserved in ``node_labels``.
+    Nodes are connected when they share a hyperedge. Every node is labelled
+    with the lowest node index in its component (``_component_labels``);
+    the largest component wins and ties go to the lowest label, i.e. to the
+    component containing the lowest node index. Hyperedges keep their
+    order and weights. Node indices are compacted; prior identifiers (or,
+    failing that, the current indices) are preserved in ``node_labels``.
 
     Raises ValueError if no hyperedge with at least two nodes remains.
     """
-    keep = [i for i, e in enumerate(g.edges) if e.size >= 2]
-    dropped = g.m - len(keep)
+    keep = g.edge_degrees >= 2
+    dropped = g.m - int(np.count_nonzero(keep))
     if dropped:
         logger.warning("preprocess: dropped %d singleton hyperedge(s)", dropped)
-    if not keep:
+    if dropped == g.m:
         raise ValueError("hypergraph is empty after removing singleton hyperedges")
 
-    uf = _UnionFind(g.n)
-    for i in keep:
-        e = g.edges[i]
-        first = int(e[0])
-        for v in e[1:]:
-            uf.union(first, int(v))
+    pin_kept = np.repeat(keep, g.edge_degrees)
+    pins = g.pins[pin_kept]
+    degrees = g.edge_degrees[keep]
+    label = _component_labels(g.n, pins, degrees)
 
-    members: dict[int, list[int]] = {}
-    for i in keep:
-        for v in g.edges[i]:
-            members.setdefault(uf.find(int(v)), [])
-    for v in range(g.n):
-        root = uf.find(v)
-        if root in members:
-            members[root].append(v)
-
-    # Largest component; ties go to the lowest contained node index.
-    best_root = min(members, key=lambda r: (-len(members[r]), members[r][0]))
-    kept_nodes = np.asarray(members[best_root], dtype=np.int64)
-
+    # argmax takes the first of equal sizes: the lowest label.
+    best = int(np.argmax(np.bincount(label, minlength=g.n)))
+    kept_nodes = np.flatnonzero(label == best)
     remap = np.full(g.n, -1, dtype=np.int64)
     remap[kept_nodes] = np.arange(kept_nodes.size)
 
-    edges = []
-    weights = []
-    for i in keep:
-        e = g.edges[i]
-        if remap[e[0]] >= 0:
-            edges.append(remap[e])
-            weights.append(g.weights[i])
+    inside = label[pins[np.cumsum(degrees) - degrees]] == best
     old_labels = g.node_labels if g.node_labels is not None else np.arange(g.n)
-    return Hypergraph(
-        kept_nodes.size, edges, np.asarray(weights), old_labels[kept_nodes]
+    return Hypergraph._from_pins(
+        kept_nodes.size,
+        remap[pins[np.repeat(inside, degrees)]],
+        degrees[inside],
+        g.weights[keep][inside],
+        old_labels[kept_nodes],
     )

@@ -29,6 +29,10 @@ from .reduction import ReducedGraph, degree_preserving_reduce
 
 logger = logging.getLogger(__name__)
 
+# ``update_weights`` builds its edge x cluster count table in blocks of at
+# most this many cells (or one row), so memory stays linear in m and c.
+_TABLE_CELLS = 2**18
+
 __all__ = [
     "WeightState",
     "IrmmConfig",
@@ -124,10 +128,28 @@ def reweight(edge: np.ndarray, partition: Partition, num_edges: int) -> float:
 def update_weights(
     state: WeightState, g: Hypergraph, partition: Partition
 ) -> WeightState:
-    """One moving-average weight update over all hyperedges (uncut included)."""
-    wprime = np.empty(g.m)
-    for j, edge in enumerate(g.edges):
-        wprime[j] = reweight(edge, partition, g.m)
+    """One moving-average weight update over all hyperedges (uncut included).
+
+    The new weight of every hyperedge is ``reweight``'s, bit for bit: a
+    block of hyperedges at a time (at most ``_TABLE_CELLS`` cells) gets a
+    table of its node counts in every cluster, zeros included, and each
+    row's 1/(k+1) terms are summed along the row, the order ``reweight``
+    sums them in. No m x c table is formed.
+    """
+    c, m = partition.c, g.m
+    delta = g.edge_degrees
+    ends = np.cumsum(delta)
+    rows = max(1, _TABLE_CELLS // c)
+    wprime = np.empty(m)
+    for e0 in range(0, m, rows):
+        e1 = min(m, e0 + rows)
+        pins = g.pins[ends[e0] - delta[e0] : ends[e1 - 1]]
+        edge_of = np.repeat(np.arange(e1 - e0), delta[e0:e1])
+        counts = np.bincount(
+            edge_of * c + partition.assignment[pins], minlength=(e1 - e0) * c
+        ).reshape(e1 - e0, c)
+        inv = 1.0 / (counts + 1.0)
+        wprime[e0:e1] = inv.sum(axis=1) * (delta[e0:e1] + c) / m
     blended = state.alpha * state.current + (1.0 - state.alpha) * wprime
     return WeightState(
         current=blended,

@@ -19,6 +19,10 @@ import numpy as np
 # in ``ModularityContext.neighbor_cluster_weights``; longer rows take numpy.
 SHORT_ROW = 128
 
+# ``_partition_sums`` sums short rows this many at a time, so that its
+# temporaries stay within _BLOCK_ROWS * SHORT_ROW = 2**18 entries.
+_BLOCK_ROWS = 2048
+
 __all__ = [
     "Partition",
     "ModularityContext",
@@ -86,22 +90,61 @@ def same_clustering(a: Partition, b: Partition) -> bool:
     )
 
 
+def _row_sums(indptr, data):
+    """``np.add.reduce`` of every row of a CSR whose rows have at most
+    ``SHORT_ROW`` entries, bit for bit.
+
+    Rows are grouped by length and each group is summed as one 2-D gather
+    along axis 1, which runs the same pairwise summation over each row as
+    a 1-D reduce. Empty rows sum to 0.0.
+    """
+    lengths = np.diff(indptr)
+    sums = np.zeros(lengths.size)
+    order = np.argsort(lengths, kind="stable")
+    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
+    for rows in np.split(order, cuts):
+        length = int(lengths[rows[0]])
+        if length:
+            sums[rows] = data[indptr[rows, None] + np.arange(length)].sum(axis=1)
+    return sums
+
+
 def _partition_sums(adjacency, labels, nslots):
     """Per-cluster degree and internal-weight sums.
 
-    Accumulates per node in index order with one reduction per row so that
-    the fully-internal case reproduces the degree sum bit for bit; this is
-    what makes the one-cluster modularity land on exactly 0.
+    Each row's total and the sum of its in-cluster entries are reduced as
+    ``np.add.reduce`` reduces them: a row of more than ``SHORT_ROW``
+    entries by one reduce each, shorter rows ``_BLOCK_ROWS`` at a time by
+    ``_row_sums``. The row sums are then added per cluster in row order
+    starting from 0.0 by one bincount, so the fully-internal case
+    reproduces the degree sum bit for bit; this is what makes the
+    one-cluster modularity land on exactly 0.
     """
     indptr, indices, data = adjacency.indptr, adjacency.indices, adjacency.data
-    sigma_in = np.zeros(nslots)
-    sigma_tot = np.zeros(nslots)
-    for i in range(adjacency.shape[0]):
-        lo, hi = indptr[i], indptr[i + 1]
+    lengths = np.diff(indptr)
+    row_tot = np.zeros(lengths.size)
+    row_in = np.zeros(lengths.size)
+    long = np.flatnonzero(lengths > SHORT_ROW)
+    for i, lo, hi in zip(
+        long.tolist(), indptr[long].tolist(), indptr[long + 1].tolist()
+    ):
         row = data[lo:hi]
-        g = labels[i]
-        sigma_tot[g] += np.add.reduce(row)
-        sigma_in[g] += np.add.reduce(row[labels[indices[lo:hi]] == g])
+        row_tot[i] = np.add.reduce(row)
+        row_in[i] = np.add.reduce(row[labels[indices[lo:hi]] == labels[i]])
+    short = np.flatnonzero((lengths > 0) & (lengths <= SHORT_ROW))
+    for b0 in range(0, short.size, _BLOCK_ROWS):
+        rows = short[b0 : b0 + _BLOCK_ROWS]
+        count = lengths[rows]
+        local = np.concatenate(([0], np.cumsum(count)))
+        pos = np.repeat(indptr[rows] - local[:-1], count) + np.arange(local[-1])
+        vals = data[pos]
+        row_tot[rows] = _row_sums(local, vals)
+        inside = np.flatnonzero(
+            labels[indices[pos]] == np.repeat(labels[rows], count)
+        )
+        row_in[rows] = _row_sums(np.searchsorted(inside, local), vals[inside])
+    sigma_in = np.bincount(labels, weights=row_in, minlength=nslots)
+    sigma_tot = np.bincount(labels, weights=row_tot, minlength=nslots)
     return sigma_in, sigma_tot
 
 

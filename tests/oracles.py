@@ -197,3 +197,145 @@ def local_moving_reference(ctx, order, min_gain):
         total += moves
         if moves == 0:
             return total
+
+
+def canonical_edges_by_unique(n, edges):
+    """Each hyperedge's sorted distinct nodes by one np.unique per edge,
+    with the constructor's errors naming the first offending hyperedge."""
+    parsed = []
+    for idx, edge in enumerate(edges):
+        nodes = np.unique(np.asarray(edge, dtype=np.int64))
+        if nodes.size == 0:
+            raise ValueError(f"hyperedge {idx} has no nodes")
+        if nodes[0] < 0 or nodes[-1] >= n:
+            raise ValueError(
+                f"hyperedge {idx} has a node index outside [0, {n})"
+            )
+        parsed.append(nodes)
+    return parsed
+
+
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+
+
+def preprocess_union_find(g):
+    """Largest component after dropping singleton hyperedges, by a Python
+    union-find; ties go to the component with the lowest node index. The
+    result is built by the ``Hypergraph`` constructor, which is checked
+    against ``canonical_edges_by_unique``."""
+    from hypermod import Hypergraph
+
+    keep = [i for i, e in enumerate(g.edges) if e.size >= 2]
+    uf = _UnionFind(g.n)
+    for i in keep:
+        e = g.edges[i]
+        first = int(e[0])
+        for v in e[1:]:
+            uf.union(first, int(v))
+
+    members = {}
+    for i in keep:
+        for v in g.edges[i]:
+            members.setdefault(uf.find(int(v)), [])
+    for v in range(g.n):
+        root = uf.find(v)
+        if root in members:
+            members[root].append(v)
+
+    # Largest component; ties go to the lowest contained node index.
+    best_root = min(members, key=lambda r: (-len(members[r]), members[r][0]))
+    kept_nodes = np.asarray(members[best_root], dtype=np.int64)
+
+    remap = np.full(g.n, -1, dtype=np.int64)
+    remap[kept_nodes] = np.arange(kept_nodes.size)
+
+    edges = []
+    weights = []
+    for i in keep:
+        e = g.edges[i]
+        if remap[e[0]] >= 0:
+            edges.append(remap[e])
+            weights.append(g.weights[i])
+    old_labels = g.node_labels if g.node_labels is not None else np.arange(g.n)
+    return Hypergraph(
+        kept_nodes.size, edges, np.asarray(weights), old_labels[kept_nodes]
+    )
+
+
+def partition_sums_by_row(adjacency, labels, nslots):
+    """Per-cluster degree and internal-weight sums with one np.add.reduce
+    per row, added to the cluster in row order."""
+    indptr, indices, data = adjacency.indptr, adjacency.indices, adjacency.data
+    sigma_in = np.zeros(nslots)
+    sigma_tot = np.zeros(nslots)
+    for i in range(adjacency.shape[0]):
+        lo, hi = indptr[i], indptr[i + 1]
+        row = data[lo:hi]
+        g = labels[i]
+        sigma_tot[g] += np.add.reduce(row)
+        sigma_in[g] += np.add.reduce(row[labels[indices[lo:hi]] == g])
+    return sigma_in, sigma_tot
+
+
+def reweighted_by_edge(g, partition):
+    """Cut-balance weight of every hyperedge, one bincount per edge."""
+    wprime = np.empty(g.m)
+    for j, edge in enumerate(g.edges):
+        counts = np.bincount(partition.assignment[edge], minlength=partition.c)
+        inv = 1.0 / (counts + 1.0)
+        wprime[j] = float(inv.sum() * (edge.size + partition.c) / g.m)
+    return wprime
+
+
+def cut_stats_by_edge(g, partition, bins_count=10):
+    """(per-edge cluster counts, relative sizes, histogram), one np.unique
+    per edge, binned right-inclusively in integers."""
+    counts_per_edge = []
+    bins = np.empty(g.m, dtype=np.int64)
+    rel = np.empty(g.m)
+    for j, edge in enumerate(g.edges):
+        _, counts = np.unique(partition.assignment[edge], return_counts=True)
+        counts_per_edge.append(counts)
+        top = int(counts.max())
+        delta = edge.size
+        rel[j] = top / delta
+        bins[j] = -(-10 * top // delta) - 1
+    hist = np.bincount(bins, minlength=bins_count) / g.m
+    return counts_per_edge, rel, hist
+
+
+def symmetric_f1_tables(pred, truth):
+    """Symmetric best-match F1 from dense cp x ct overlap and F1 tables."""
+    cp, ct = pred.c, truth.c
+    overlap = np.bincount(
+        pred.assignment * ct + truth.assignment, minlength=cp * ct
+    ).reshape(cp, ct)
+    denom = pred.cluster_sizes[:, None] + truth.cluster_sizes[None, :]
+    f1 = 2.0 * overlap / denom
+    forward = f1.max(axis=1).mean()
+    backward = f1.max(axis=0).mean()
+    return float((forward + backward) / 2.0)
+
+
+def bits(x):
+    """Float array (or scalar) as int64 bit patterns, for exact comparison."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hypermod import Hypergraph, Partition, cut_stats, symmetric_f1
 
-from oracles import symmetric_f1_naive
+from oracles import bits, cut_stats_by_edge, symmetric_f1_naive, symmetric_f1_tables
 
 
 class TestSymmetricF1:
@@ -57,6 +59,30 @@ class TestSymmetricF1:
             assert symmetric_f1(a, b) == pytest.approx(
                 symmetric_f1_naive(a.assignment, b.assignment), abs=1e-12
             )
+
+    def test_matches_dense_tables_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            n = int(rng.integers(1, 300))
+            a = Partition.from_labels(rng.integers(0, int(rng.integers(1, 60)), size=n))
+            b = Partition.from_labels(rng.integers(0, int(rng.integers(1, 60)), size=n))
+            assert bits(symmetric_f1(a, b)) == bits(symmetric_f1_tables(a, b))
+
+    def test_memory_linear_in_nodes(self):
+        # Dense cp x ct tables would take about 96 MB here.
+        rng = np.random.default_rng(9)
+        n = 4000
+        pred = Partition.from_labels(np.arange(n) % 2000)
+        truth = Partition.from_labels(rng.permutation(n) % 2000)
+        assert pred.c == truth.c == 2000
+        tracemalloc.start()
+        try:
+            value = symmetric_f1(pred, truth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < value < 1.0
+        assert peak < 4 * 2**20
 
     def test_node_set_mismatch_rejected(self):
         with pytest.raises(ValueError, match="different"):
@@ -134,3 +160,32 @@ class TestCutStats:
         g = Hypergraph(4, [[0, 1, 2, 3]])
         with pytest.raises(ValueError, match="cover"):
             cut_stats(g, Partition([0, 0, 1]))
+
+
+class TestCutStatsMatchesReference:
+    """One np.unique over (edge, cluster) keys gives what one np.unique
+    per hyperedge gave."""
+
+    @staticmethod
+    def check(g, partition):
+        got = cut_stats(g, partition)
+        counts, rel, hist = cut_stats_by_edge(g, partition)
+        assert len(got.partition_counts) == len(counts)
+        for a, b in zip(got.partition_counts, counts):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert np.array_equal(bits(got.relative_sizes), bits(rel))
+        assert np.array_equal(bits(got.histogram), bits(hist))
+
+    def test_random_hypergraphs(self, mixed_corpus):
+        rng = np.random.default_rng(10)
+        for g in mixed_corpus[:60]:
+            for c in (1, 2, max(1, g.n // 3), g.n):
+                labels = rng.integers(0, c, size=g.n)
+                self.check(g, Partition.from_labels(labels))
+
+    def test_singleton_and_duplicate_node_edges(self):
+        g = Hypergraph(10, [[3], [2, 2], [1, 1, 0], [4, 0, 4, 1], list(range(10))])
+        rng = np.random.default_rng(11)
+        for c in (1, 3, 10):
+            self.check(g, Partition.from_labels(rng.integers(0, c, size=10)))

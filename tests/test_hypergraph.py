@@ -14,6 +14,7 @@ from hypermod import (
 )
 
 from conftest import random_hypergraph
+from oracles import bits, canonical_edges_by_unique, preprocess_union_find
 
 
 class TestLoad:
@@ -75,6 +76,10 @@ class TestLoad:
         with pytest.raises(FormatError, match="positive"):
             loads("1 2 1\n-2.5 1 2\n")
 
+    def test_node_count_beyond_int64_rejected(self):
+        with pytest.raises(FormatError, match="64-bit"):
+            loads("1 99999999999999999999\n99999999999999999999 1\n")
+
     def test_unknown_format_name(self):
         with pytest.raises(ValueError, match="format"):
             loads("1 2\n1 2\n", format="patoh")
@@ -118,6 +123,160 @@ class TestConstructor:
         g2 = g.with_weights([2.0, 3.0])
         assert np.array_equal(g2.weights, [2.0, 3.0])
         assert np.array_equal(g.weights, [1.0, 1.0])
+
+    def test_with_weights_shares_structure_and_validates_weights(self):
+        g = Hypergraph(4, [[3, 0, 1], [1, 2]], node_labels=[5, 6, 7, 8])
+        g2 = g.with_weights([2.0, 3.0])
+        assert g2.pins is g.pins
+        assert g2.edge_degrees is g.edge_degrees
+        assert g2.node_labels is g.node_labels
+        assert g2.incidence() is g.incidence()
+        assert g2 == Hypergraph(4, g.edges, [2.0, 3.0], [5, 6, 7, 8])
+        for bad in ([1.0], [1.0, 0.0], [1.0, np.inf], [[1.0, 2.0]]):
+            with pytest.raises(ValueError):
+                g.with_weights(bad)
+        assert np.array_equal(g.weights, [1.0, 1.0])
+
+
+def messy_edges(rng, n, m, max_size=12):
+    """Unsorted hyperedges with repeated nodes, as lists and arrays."""
+    edges = []
+    for j in range(m):
+        edge = rng.integers(0, n, size=int(rng.integers(1, max_size + 1)))
+        edges.append(edge.tolist() if j % 2 else edge)
+    return edges
+
+
+class TestConstructorMatchesReference:
+    """One sort over all pins gives what np.unique per hyperedge gave."""
+
+    @staticmethod
+    def check(n, edges):
+        g = Hypergraph(n, edges)
+        ref = canonical_edges_by_unique(n, edges)
+        assert g.m == len(ref)
+        assert g.edge_degrees.dtype == np.int64
+        assert np.array_equal(g.edge_degrees, [e.size for e in ref])
+        assert g.pins.dtype == np.int64
+        assert np.array_equal(g.pins, np.concatenate(ref))
+        assert len(g.edges) == len(ref)
+        for got, want in zip(g.edges, ref):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+        return g
+
+    def test_random_messy_edges(self):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            self.check(n, messy_edges(rng, n, int(rng.integers(1, 30))))
+
+    def test_singleton_and_duplicate_node_edges(self):
+        g = self.check(5, [[3], [2, 2], [1, 1, 0], [4, 0, 4, 1], [0, 1]])
+        assert np.array_equal(g.edge_degrees, [1, 1, 2, 3, 2])
+
+    def test_node_count_too_large_for_a_product_key(self):
+        # m * n >= 2**63, so the nodes are sorted without the (edge, node) key.
+        n = 2**62
+        self.check(n, [[n - 1, 5, 5, 0], [0], [7, 3, n - 2]])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [[0, 1], [], [5]],
+            [[0, 1], [5], []],
+            [[-1, 0], []],
+            [[], [-1]],
+            [[2, 0, 3], [1, 2]],
+        ],
+    )
+    def test_errors_name_the_first_offending_edge(self, edges):
+        with pytest.raises(ValueError) as expected:
+            canonical_edges_by_unique(3, edges)
+        with pytest.raises(ValueError) as got:
+            Hypergraph(3, edges)
+        assert str(got.value) == str(expected.value)
+
+
+def components_corpus(seed, count=40):
+    """Hypergraphs with several components, singleton and duplicate-node
+    hyperedges, and nodes that no hyperedge (or only a singleton) touches."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        n = int(rng.integers(4, 60))
+        groups = rng.integers(0, int(rng.integers(1, 6)), size=n)
+        edges = []
+        for _ in range(int(rng.integers(1, n))):
+            members = np.flatnonzero(groups == rng.integers(0, groups.max() + 1))
+            if members.size == 0:
+                continue
+            size = int(rng.integers(1, min(members.size, 5) + 1))
+            edges.append(rng.choice(members, size=size))
+        if not any(np.unique(e).size >= 2 for e in edges):
+            edges.append([0, n - 1])
+        weights = rng.uniform(0.5, 3.0, size=len(edges))
+        labels = rng.permutation(n) + 1 if i % 2 else None
+        out.append(Hypergraph(n, edges, weights, labels))
+    return out
+
+
+def equal_components(rng, sizes, n_extra=3):
+    """Components of the given sizes over shuffled node indices, each a
+    chain of pairs plus one hyperedge of up to three of its nodes, with
+    ``n_extra`` nodes in no hyperedge."""
+    n = sum(sizes) + n_extra
+    nodes = rng.permutation(n)
+    edges, at = [], 0
+    for size in sizes:
+        comp = nodes[at : at + size]
+        at += size
+        edges += [[comp[k], comp[k + 1]] for k in range(size - 1)]
+        edges.append(rng.choice(comp, size=min(size, 3), replace=False))
+    order = rng.permutation(len(edges))
+    return Hypergraph(n, [edges[k] for k in order])
+
+
+class TestPreprocessMatchesReference:
+    """Hook-and-jump component labels keep what the union-find kept."""
+
+    @staticmethod
+    def check(g):
+        got = preprocess(g)
+        want = preprocess_union_find(g)
+        assert got == want
+        assert np.array_equal(bits(got.weights), bits(want.weights))
+        assert got.pins.dtype == got.edge_degrees.dtype == np.int64
+        assert got.node_labels.dtype == np.int64
+        assert np.array_equal(got.incidence().toarray(), want.incidence().toarray())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_components_corpus(self, seed):
+        for g in components_corpus(seed):
+            self.check(g)
+
+    def test_mixed_corpus(self, mixed_corpus):
+        for g in mixed_corpus[:60]:
+            self.check(g)
+
+    def test_ties_between_equal_largest_components(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            k = int(rng.integers(2, 5))
+            size = int(rng.integers(2, 6))
+            sizes = [size] * k + [int(rng.integers(2, size + 1))]
+            self.check(equal_components(rng, sizes))
+
+    def test_tie_goes_to_lowest_node_listed_last(self):
+        out = preprocess(loads("3 7\n3 5\n2 6\n7 1\n"))
+        assert np.array_equal(out.node_labels, [1, 7])
+
+    def test_long_chain_in_reverse_order(self):
+        n = 500
+        edges = [[v, v + 1] for v in range(n - 2, -1, -1)]
+        g = Hypergraph(n, edges + [[3]])
+        self.check(g)
+        assert preprocess(g).n == n
 
 
 class TestPreprocess:
@@ -223,4 +382,10 @@ class TestLabelsIO:
         path = tmp_path / "labels.txt"
         path.write_text("1 2\n")
         with pytest.raises(FormatError):
+            load_labels(path)
+
+    def test_rejects_label_beyond_int64(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("1\n99999999999999999999\n")
+        with pytest.raises(FormatError, match="64-bit"):
             load_labels(path)

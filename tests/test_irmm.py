@@ -21,7 +21,7 @@ from hypermod import (
 )
 from hypermod.synthgen import GenConfig, generate
 
-from oracles import reweight_exact
+from oracles import bits, reweight_exact, reweighted_by_edge
 
 
 class TestTwoWayCutScore:
@@ -164,6 +164,62 @@ class TestUpdateWeights:
         for _ in range(20):
             state = update_weights(state, g, p)
             assert np.all(state.current > 0)
+
+
+def random_partition(rng, n, c):
+    """Partition of n nodes into exactly c clusters (c <= n)."""
+    labels = rng.integers(0, c, size=n)
+    labels[rng.permutation(n)[:c]] = np.arange(c)
+    return Partition(labels)
+
+
+class TestUpdateWeightsMatchesReference:
+    """The blocked edge x cluster count table gives per-edge ``reweight``'s
+    weights bit for bit (floats compared as int64 bit patterns)."""
+
+    @staticmethod
+    def check(g, partition, alpha=0.3):
+        current = np.random.default_rng(g.m).uniform(0.5, 2.0, size=g.m)
+        state = WeightState(current, None, alpha=alpha, iteration=3)
+        got = update_weights(state, g, partition)
+        wprime = reweighted_by_edge(g, partition)
+        want = alpha * current + (1.0 - alpha) * wprime
+        assert np.array_equal(bits(got.current), bits(want))
+        assert np.array_equal(bits(got.previous), bits(current))
+        for j, edge in enumerate(g.edges[:5]):
+            assert wprime[j] == reweight(edge, partition, g.m)
+
+    @pytest.mark.parametrize("c", [1, 2, 5, 8, 9, 16, 130, 1000])
+    def test_random_hypergraphs(self, c):
+        # c >= 9 takes numpy's pairwise summation, c > 128 its blocked form.
+        rng = np.random.default_rng(c)
+        for _ in range(8):
+            n = c + int(rng.integers(0, 40))
+            edges = [rng.choice(n, size=int(rng.integers(2, min(n, 20) + 1)))
+                     for _ in range(int(rng.integers(2, 60)))]
+            g = Hypergraph(n, edges, rng.uniform(0.5, 3.0, size=len(edges)))
+            self.check(g, random_partition(rng, n, c))
+
+    def test_singleton_and_duplicate_node_edges(self):
+        g = Hypergraph(12, [[3], [2, 2], [1, 1, 0], [4, 0, 4, 1], list(range(12))])
+        rng = np.random.default_rng(7)
+        for c in (1, 3, 9, 12):
+            self.check(g, random_partition(rng, 12, c))
+
+    def test_several_edge_blocks(self):
+        # 2**18 // 6000 = 43 edges per block, so 200 edges take 5 blocks.
+        rng = np.random.default_rng(8)
+        n = 6000
+        edges = [rng.choice(n, size=int(rng.integers(2, 30)), replace=False)
+                 for _ in range(200)]
+        g = Hypergraph(n, edges)
+        self.check(g, Partition(np.arange(n)))
+        self.check(g, random_partition(rng, n, 5000))
+
+    def test_one_edge_per_block(self):
+        n = 2**18 + 5
+        g = Hypergraph(n, [[0, 1], [2, 3, n - 1], [5, 6]])
+        self.check(g, random_partition(np.random.default_rng(9), n, n - 2))
 
 
 class TestConfig:

@@ -9,6 +9,7 @@ from hypermod import (
     ModularityContext,
     Partition,
     ReducedGraph,
+    aggregate,
     clique_reduce,
     degree_preserving_reduce,
     modularity,
@@ -19,8 +20,14 @@ from hypermod import (
 from conftest import random_dyadic_hypergraph, random_hypergraph
 
 # The package re-exports the function ``modularity`` under the module's name.
-SHORT_ROW = importlib.import_module("hypermod.modularity").SHORT_ROW
-from oracles import modularity_double_sum, modularity_double_sum_fast
+modularity_module = importlib.import_module("hypermod.modularity")
+SHORT_ROW = modularity_module.SHORT_ROW
+from oracles import (
+    bits,
+    modularity_double_sum,
+    modularity_double_sum_fast,
+    partition_sums_by_row,
+)
 
 
 def two_triangles():
@@ -239,3 +246,89 @@ class TestGainOfMove:
             ctx.move(int(rng.integers(g.n)), int(rng.integers(g.n)))
         from_scratch = modularity(rg, Partition.from_labels(ctx.assignment))
         assert ctx.modularity() == pytest.approx(from_scratch, abs=1e-10)
+
+
+def random_csr(rng, lengths, n_cols=None):
+    """CSR matrix with the given row lengths (0 allowed), distinct sorted
+    columns per row and weights spread over six decades."""
+    n_cols = n_cols or max(1, int(max(lengths)))
+    rows, cols = [], []
+    for i, length in enumerate(lengths):
+        rows += [i] * int(length)
+        cols += sorted(rng.choice(n_cols, size=int(length), replace=False))
+    data = rng.random(len(rows)) * 10.0 ** rng.uniform(-3, 3, size=len(rows))
+    return sparse.csr_matrix(
+        (data, (rows, cols)), shape=(len(lengths), n_cols)
+    )
+
+
+def straddling_lengths(rng, n):
+    """Row lengths on both sides of SHORT_ROW, with empty rows inside and
+    at the end."""
+    lengths = rng.integers(0, 2 * SHORT_ROW + 40, size=n)
+    lengths[rng.random(n) < 0.5] //= 16
+    lengths[rng.integers(0, n, size=3)] = 0
+    lengths[[SHORT_ROW % n, -3]] = [SHORT_ROW, SHORT_ROW + 1]
+    lengths[-2:] = 0
+    return lengths
+
+
+def assert_sums_match(adjacency, labels, nslots):
+    got = modularity_module._partition_sums(adjacency, labels, nslots)
+    want = partition_sums_by_row(adjacency, labels, nslots)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (nslots,)
+        assert np.array_equal(bits(g), bits(w))
+
+
+class TestPartitionSumsMatchReference:
+    """Grouped row sums and one bincount per cluster reproduce the per-row
+    loop bit for bit (floats compared as int64 bit patterns)."""
+
+    def test_row_sums_every_length(self):
+        rng = np.random.default_rng(51)
+        lengths = np.repeat(np.arange(0, SHORT_ROW + 1), 3)
+        rng.shuffle(lengths)
+        lengths = np.append(lengths, [0, 0])
+        mat = random_csr(rng, lengths, n_cols=SHORT_ROW)
+        got = modularity_module._row_sums(mat.indptr, mat.data)
+        want = [
+            np.add.reduce(mat.data[mat.indptr[i] : mat.indptr[i + 1]])
+            for i in range(mat.shape[0])
+        ]
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("block", [None, 1, 37, 1000])
+    def test_random_rows_and_blocks(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(modularity_module, "_BLOCK_ROWS", block)
+        rng = np.random.default_rng(52)
+        for _ in range(4):
+            n = int(rng.integers(3 * SHORT_ROW, 4 * SHORT_ROW))
+            mat = random_csr(rng, straddling_lengths(rng, n), n_cols=n)
+            for nslots in (1, 2, 7, n):
+                labels = rng.integers(0, nslots, size=n)
+                labels[:nslots] = np.arange(nslots)
+                assert_sums_match(mat, labels, nslots)
+
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_aggregated_graphs_with_self_loops(self, monkeypatch, mixed_corpus, block):
+        if block is not None:
+            monkeypatch.setattr(modularity_module, "_BLOCK_ROWS", block)
+        rng = np.random.default_rng(53)
+        for g in mixed_corpus[:10]:
+            graph = degree_preserving_reduce(g)
+            for _ in range(2):
+                coarse = rng.integers(0, max(3, graph.n // 3), size=graph.n)
+                graph = aggregate(graph, Partition.from_labels(coarse))
+                assert graph.self_loops.any()
+                labels = rng.integers(0, 3, size=graph.n)
+                assert_sums_match(graph.adjacency, labels, 3)
+
+    def test_one_cluster_exactly_zero_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(modularity_module, "_BLOCK_ROWS", 5)
+        rng = np.random.default_rng(54)
+        for _ in range(5):
+            mat = random_csr(rng, straddling_lengths(rng, 300), n_cols=300)
+            graph = ReducedGraph(mat + mat.T)
+            assert modularity(graph, Partition(np.zeros(300, dtype=int))) == 0.0
