@@ -28,15 +28,15 @@ g = Hypergraph(8, edges)
 reduced = degree_preserving_reduce(g)
 
 result = louvain(reduced)
-print("clusters found:", result.num_clusters)
+print("clusters found:", result.partition.c)
 print("assignment:    ", result.partition.assignment)
 print("modularity:    ", round(result.modularity, 4))
 
 truth = Partition([0, 0, 0, 0, 1, 1, 1, 1])
 print("symmetric F1 vs planted groups:", symmetric_f1(result.partition, truth))
 
-# The dendrogram records one partition per aggregation level.
-for depth, level in enumerate(result.dendrogram.levels):
+# The levels record one partition per aggregation level.
+for depth, level in enumerate(result.levels):
     print(f"level {depth}: {level.assignment} (c={level.c})")
 
 # Post-processing to an exact cluster count merges the pair with the

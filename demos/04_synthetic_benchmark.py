@@ -34,7 +34,7 @@ print(f"largest component keeps {kept.n}/{g.n} nodes")
 truth_kept = Partition.from_labels(truth.assignment[kept.node_labels])
 result = louvain(degree_preserving_reduce(kept))
 print(
-    f"louvain finds {result.num_clusters} clusters,"
+    f"louvain finds {result.partition.c} clusters,"
     f" F1 vs planted classes {symmetric_f1(result.partition, truth_kept):.3f}"
 )
 

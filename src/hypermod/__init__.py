@@ -22,18 +22,14 @@ from .hypergraph import (
 from .irmm import (
     IrmmConfig,
     IrmmIteration,
-    IrmmResult,
-    WeightState,
     irmm,
-    reweight,
     two_way_cut_score,
     update_weights,
     write_trace,
 )
 from .louvain import (
-    Dendrogram,
+    ClusterResult,
     LouvainConfig,
-    LouvainResult,
     aggregate,
     flatten,
     louvain,
@@ -42,7 +38,6 @@ from .modularity import (
     ModularityContext,
     Partition,
     modularity,
-    null_model_entry,
     same_clustering,
 )
 from .reduction import (
@@ -59,22 +54,19 @@ from .synthgen import GenConfig, default_size_buckets, generate
 __version__ = "0.1.0"
 
 __all__ = [
+    "ClusterResult",
     "CutStats",
     "DegreeView",
-    "Dendrogram",
     "DENSE_NODE_LIMIT",
     "FormatError",
     "GenConfig",
     "Hypergraph",
     "IrmmConfig",
     "IrmmIteration",
-    "IrmmResult",
     "LouvainConfig",
-    "LouvainResult",
     "ModularityContext",
     "Partition",
     "ReducedGraph",
-    "WeightState",
     "agglomerate",
     "aggregate",
     "clique_reduce",
@@ -90,10 +82,8 @@ __all__ = [
     "loads",
     "louvain",
     "modularity",
-    "null_model_entry",
     "preprocess",
     "random_walk_matrix",
-    "reweight",
     "same_clustering",
     "symmetric_f1",
     "two_way_cut_score",

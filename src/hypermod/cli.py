@@ -15,7 +15,6 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,7 @@ from .hypergraph import (
     load,
     load_labels,
     preprocess,
+    read_label_rows,
     write_hmetis,
     write_labels,
 )
@@ -41,40 +41,15 @@ __all__ = ["main"]
 METHODS = ("irmm", "hlouvain", "clique-louvain")
 
 
-@dataclass
-class MethodRun:
-    partition: Partition
-    num_clusters: int
-    modularity: float
-    iterations: int
-    converged: bool
-    graph: object
-    trace: list
-
-
-def run_method(g, method, louvain_cfg, irmm_cfg) -> MethodRun:
+def run_method(g, method, louvain_cfg, irmm_cfg):
     """Cluster a preprocessed hypergraph with one of the three methods."""
     if method == "irmm":
-        res = irmm(g, irmm_cfg)
-        return MethodRun(
-            res.partition,
-            res.num_clusters,
-            res.modularity,
-            res.iterations,
-            res.converged,
-            res.graph,
-            res.trace,
-        )
+        return irmm(g, irmm_cfg)
     if method == "hlouvain":
-        reduced = degree_preserving_reduce(g)
-    elif method == "clique-louvain":
-        reduced = clique_reduce(g)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    res = louvain(reduced, louvain_cfg)
-    return MethodRun(
-        res.partition, res.num_clusters, res.modularity, 1, True, reduced, []
-    )
+        return louvain(degree_preserving_reduce(g), louvain_cfg)
+    if method == "clique-louvain":
+        return louvain(clique_reduce(g), louvain_cfg)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _write_partition(path, node_labels, assignment):
@@ -153,34 +128,13 @@ def _read_clustering(path):
     Returns a dict from node id to cluster label; label-per-line files
     number their nodes 1..n.
     """
-    rows = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        tokens = line.split()
-        if len(tokens) not in (1, 2):
-            raise FormatError(f"{path}: line {lineno}: expected 1 or 2 columns")
-        rows.append((lineno, tokens))
-    if not rows:
-        raise FormatError(f"{path}: no clustering rows")
-    widths = {len(tokens) for _, tokens in rows}
-    if len(widths) != 1:
-        raise FormatError(f"{path}: mixed 1- and 2-column lines")
-    mapping = {}
-    try:
-        if widths == {1}:
-            for i, (_, tokens) in enumerate(rows, start=1):
-                mapping[i] = int(tokens[0])
-        else:
-            for lineno, tokens in rows:
-                node = int(tokens[0])
-                if node in mapping:
-                    raise FormatError(f"{path}: line {lineno}: duplicate node {node}")
-                mapping[node] = int(tokens[1])
-    except ValueError:
-        raise FormatError(f"{path}: entries must be integers") from None
-    return mapping
+    rows = read_label_rows(path, widths=(1, 2))
+    if rows.shape[1] == 1:
+        return dict(enumerate(rows[:, 0].tolist(), start=1))
+    nodes, counts = np.unique(rows[:, 0], return_counts=True)
+    if counts.max() > 1:
+        raise FormatError(f"{path}: duplicate node {nodes[counts > 1][0]}")
+    return dict(rows.tolist())
 
 
 def _aligned_partitions(map_a, map_b):

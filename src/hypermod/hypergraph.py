@@ -29,6 +29,7 @@ __all__ = [
     "loads",
     "write_hmetis",
     "load_labels",
+    "read_label_rows",
     "write_labels",
     "preprocess",
     "degrees",
@@ -265,16 +266,14 @@ def _parse_hmetis(text):
     )
 
 
-def loads(text: str, format: str = "hmetis") -> Hypergraph:
-    """Parse a hypergraph from a string in the given format."""
-    if format != "hmetis":
-        raise ValueError(f"unknown format {format!r}")
+def loads(text: str) -> Hypergraph:
+    """Parse a hypergraph from a string in hMETIS format."""
     return _parse_hmetis(text)
 
 
-def load(path, format: str = "hmetis") -> Hypergraph:
+def load(path) -> Hypergraph:
     """Read a hypergraph file. See the module docstring for the format."""
-    return loads(Path(path).read_text(encoding="utf-8"), format=format)
+    return loads(Path(path).read_text(encoding="utf-8"))
 
 
 def write_hmetis(g: Hypergraph, path) -> None:
@@ -291,22 +290,44 @@ def write_hmetis(g: Hypergraph, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def read_label_rows(path, widths=(1,)) -> np.ndarray:
+    """Read a file of integer rows, such as labels or ``node cluster`` pairs.
+
+    Blank lines and lines starting with ``%`` are skipped. Every row must
+    have the same number of columns, one of ``widths``, and every entry
+    must be an integer that fits int64. Returns an int64 array with one
+    row per line.
+    """
+    rows = []
+    width = None
+    for lineno, tokens in _tokenize(Path(path).read_text(encoding="utf-8")):
+        if len(tokens) != width:
+            if width is None and len(tokens) in widths:
+                width = len(tokens)
+            else:
+                expected = " or ".join(str(w) for w in widths)
+                raise FormatError(
+                    f"{path}: line {lineno}: expected {width or expected} column(s)"
+                )
+        try:
+            values = [int(t) for t in tokens]
+        except ValueError:
+            raise FormatError(
+                f"{path}: line {lineno}: entries must be integers"
+            ) from None
+        if min(values) < -_MAX_INDEX - 1 or max(values) > _MAX_INDEX:
+            raise FormatError(
+                f"{path}: line {lineno}: entries must fit a 64-bit integer"
+            )
+        rows.append(values)
+    if not rows:
+        raise FormatError(f"{path}: no rows")
+    return np.asarray(rows, dtype=np.int64)
+
+
 def load_labels(path) -> np.ndarray:
     """Read a ground-truth label file: one integer class label per line."""
-    labels = []
-    for lineno, tokens in _tokenize(Path(path).read_text(encoding="utf-8")):
-        if len(tokens) != 1:
-            raise FormatError(f"line {lineno}: expected one label per line")
-        try:
-            label = int(tokens[0])
-        except ValueError:
-            raise FormatError(f"line {lineno}: labels must be integers") from None
-        if not -_MAX_INDEX - 1 <= label <= _MAX_INDEX:
-            raise FormatError(f"line {lineno}: label must fit a 64-bit integer")
-        labels.append(label)
-    if not labels:
-        raise FormatError("empty label file")
-    return np.asarray(labels, dtype=np.int64)
+    return read_label_rows(path).ravel()
 
 
 def write_labels(labels, path) -> None:

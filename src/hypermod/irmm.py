@@ -16,16 +16,16 @@ less than ``threshold``.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .hypergraph import Hypergraph
-from .louvain import LouvainConfig, louvain
+from .louvain import ClusterResult, LouvainConfig, louvain
 from .modularity import Partition
-from .reduction import ReducedGraph, degree_preserving_reduce
+from .reduction import degree_preserving_reduce
 
 logger = logging.getLogger(__name__)
 
@@ -34,12 +34,9 @@ logger = logging.getLogger(__name__)
 _TABLE_CELLS = 2**18
 
 __all__ = [
-    "WeightState",
     "IrmmConfig",
     "IrmmIteration",
-    "IrmmResult",
     "two_way_cut_score",
-    "reweight",
     "update_weights",
     "irmm",
     "write_trace",
@@ -47,21 +44,20 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class WeightState:
-    """Current and previous hyperedge weights of the reweighting loop."""
-
-    current: np.ndarray
-    previous: np.ndarray | None
-    alpha: float
-    iteration: int
-
-
-@dataclass(frozen=True)
 class IrmmConfig:
+    """Settings of the reweighting loop.
+
+    alpha: moving-average coefficient, the share of the old weights kept
+    by each update (strictly between 0 and 1).
+    threshold: stop after the first round in which every hyperedge
+    weight moves by less than this (the L-infinity norm of the change).
+    max_iters: cap on reweighting rounds.
+    louvain: node visit order of the Louvain run in every round.
+    """
+
     alpha: float = 0.5
     threshold: float = 0.01
     max_iters: int = 50
-    norm: str = "linf"
     louvain: LouvainConfig = field(default_factory=LouvainConfig)
 
     def validate(self):
@@ -71,9 +67,6 @@ class IrmmConfig:
             raise ValueError("threshold must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.norm not in ("linf", "l2"):
-            raise ValueError("norm must be 'linf' or 'l2'")
-        self.louvain.validate()
 
 
 @dataclass(frozen=True)
@@ -84,18 +77,6 @@ class IrmmIteration:
     weight_delta: float
     modularity: float
     num_clusters: int
-
-
-@dataclass
-class IrmmResult:
-    partition: Partition
-    num_clusters: int
-    modularity: float
-    iterations: int
-    converged: bool
-    trace: list[IrmmIteration]
-    weights: np.ndarray
-    graph: ReducedGraph
 
 
 def two_way_cut_score(k1: int, k2: int, delta_e: int) -> Fraction:
@@ -113,28 +94,17 @@ def two_way_cut_score(k1: int, k2: int, delta_e: int) -> Fraction:
     return (Fraction(1, k1) + Fraction(1, k2)) * delta_e
 
 
-def reweight(edge: np.ndarray, partition: Partition, num_edges: int) -> float:
-    """Smoothed cut-balance weight of one hyperedge under a partition.
-
-    Counts the edge's nodes in every cluster (zeros included) and applies
-    the formula above; the result depends only on the partition, never on
-    the edge's current weight.
-    """
-    counts = np.bincount(partition.assignment[edge], minlength=partition.c)
-    inv = 1.0 / (counts + 1.0)
-    return float(inv.sum() * (edge.size + partition.c) / num_edges)
-
-
 def update_weights(
-    state: WeightState, g: Hypergraph, partition: Partition
-) -> WeightState:
+    weights: np.ndarray, g: Hypergraph, partition: Partition, alpha: float
+) -> np.ndarray:
     """One moving-average weight update over all hyperedges (uncut included).
 
-    The new weight of every hyperedge is ``reweight``'s, bit for bit: a
-    block of hyperedges at a time (at most ``_TABLE_CELLS`` cells) gets a
-    table of its node counts in every cluster, zeros included, and each
-    row's 1/(k+1) terms are summed along the row, the order ``reweight``
-    sums them in. No m x c table is formed.
+    Returns ``alpha * weights + (1 - alpha) * w'``, where w'(e) is the
+    formula above; it depends only on the partition, never on the edge's
+    current weight. A block of hyperedges at a time (at most
+    ``_TABLE_CELLS`` cells) gets a table of its node counts in every
+    cluster, zeros included, and each row's 1/(k+1) terms are summed along
+    the row in cluster order. No m x c table is formed.
     """
     c, m = partition.c, g.m
     delta = g.edge_degrees
@@ -150,49 +120,33 @@ def update_weights(
         ).reshape(e1 - e0, c)
         inv = 1.0 / (counts + 1.0)
         wprime[e0:e1] = inv.sum(axis=1) * (delta[e0:e1] + c) / m
-    blended = state.alpha * state.current + (1.0 - state.alpha) * wprime
-    return WeightState(
-        current=blended,
-        previous=state.current.copy(),
-        alpha=state.alpha,
-        iteration=state.iteration + 1,
-    )
+    return alpha * weights + (1.0 - alpha) * wprime
 
 
-def _weight_delta(diff: np.ndarray, norm: str) -> float:
-    if norm == "l2":
-        return float(np.linalg.norm(diff))
-    return float(np.max(np.abs(diff)))
-
-
-def irmm(g: Hypergraph, config: IrmmConfig | None = None) -> IrmmResult:
+def irmm(g: Hypergraph, config: IrmmConfig | None = None) -> ClusterResult:
     """Cluster, reweight, repeat until the weights settle.
 
     ``g`` must be preprocessed (every hyperedge degree >= 2). Returns the
-    partition of the final round together with the per-round trace; if the
-    weights never move less than the threshold within ``max_iters`` rounds
-    the final round's result is returned with ``converged`` False.
+    final round's Louvain result with the round count, the per-round trace
+    and the final weights; if the weights never move less than the
+    threshold within ``max_iters`` rounds, ``converged`` is False.
     """
     cfg = config if config is not None else IrmmConfig()
     cfg.validate()
-    state = WeightState(
-        current=np.array(g.weights, dtype=np.float64),
-        previous=None,
-        alpha=cfg.alpha,
-        iteration=0,
-    )
+    weights = np.array(g.weights, dtype=np.float64)
     trace: list[IrmmIteration] = []
     converged = False
-    result = None
-    reduced = None
     for it in range(1, cfg.max_iters + 1):
-        weighted = g.with_weights(state.current)
-        reduced = degree_preserving_reduce(weighted)
-        result = louvain(reduced, cfg.louvain)
-        state = update_weights(state, weighted, result.partition)
-        delta = _weight_delta(state.current - state.previous, cfg.norm)
+        weighted = g.with_weights(weights)
+        # The previous round's result holds its reduced graph; release it
+        # before this round builds and clusters another.
+        result = None
+        result = louvain(degree_preserving_reduce(weighted), cfg.louvain)
+        previous = weights
+        weights = update_weights(previous, weighted, result.partition, cfg.alpha)
+        delta = float(np.max(np.abs(weights - previous)))
         trace.append(
-            IrmmIteration(it, delta, result.modularity, result.num_clusters)
+            IrmmIteration(it, delta, result.modularity, result.partition.c)
         )
         if delta < cfg.threshold:
             converged = True
@@ -203,15 +157,12 @@ def irmm(g: Hypergraph, config: IrmmConfig | None = None) -> IrmmResult:
             cfg.max_iters,
             trace[-1].weight_delta,
         )
-    return IrmmResult(
-        partition=result.partition,
-        num_clusters=result.num_clusters,
-        modularity=result.modularity,
+    return replace(
+        result,
         iterations=len(trace),
         converged=converged,
         trace=trace,
-        weights=state.current.copy(),
-        graph=reduced,
+        weights=weights,
     )
 
 

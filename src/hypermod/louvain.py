@@ -26,58 +26,62 @@ from .reduction import ReducedGraph
 
 __all__ = [
     "LouvainConfig",
-    "Dendrogram",
-    "LouvainResult",
+    "ClusterResult",
     "louvain",
     "flatten",
     "aggregate",
 ]
 
+# Smallest gain that justifies a move (floating-point noise floor).
+MIN_GAIN = 1e-9
+# Cap on aggregation levels per hierarchy and on hierarchy reruns.
+MAX_PASSES = 50
+
 
 @dataclass(frozen=True)
 class LouvainConfig:
-    """Knobs for the optimizer.
+    """Node visit order of the optimizer.
 
-    min_gain: smallest gain that justifies a move (floating-point noise floor).
-    max_passes: cap on aggregation levels.
-    seed/shuffle: node visit order; ascending index unless shuffle is set,
-    in which case a seeded permutation is drawn per pass.
+    seed/shuffle: ascending index unless shuffle is set, in which case a
+    seeded permutation is drawn per pass.
     """
 
-    min_gain: float = 1e-9
-    max_passes: int = 50
     seed: int = 0
     shuffle: bool = False
 
-    def validate(self):
-        if self.min_gain < 0:
-            raise ValueError("min_gain must be nonnegative")
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be at least 1")
-
 
 @dataclass
-class Dendrogram:
-    """Per-level partitions, finest first; each level partitions the
-    previous level's clusters."""
+class ClusterResult:
+    """A partition of a reduced graph and how it was reached.
 
-    levels: list[Partition] = field(default_factory=list)
+    partition: the clustering of the input graph's nodes.
+    modularity: Q of ``partition`` on ``graph``, recomputed from scratch.
+    graph: the reduced graph that was clustered (for irmm, the final
+    round's degree-preserving reduction).
+    levels: per-level partitions, finest first; each level partitions the
+    previous level's clusters, and ``flatten(levels) == partition``.
+    iterations/converged/trace: reweighting rounds run, whether the
+    weights settled, and one ``IrmmIteration`` per round (a single
+    Louvain run reports 1, True and an empty trace).
+    weights: the final hyperedge weights (irmm only; None otherwise).
+    """
 
-
-@dataclass
-class LouvainResult:
     partition: Partition
-    num_clusters: int
     modularity: float
-    dendrogram: Dendrogram
+    graph: ReducedGraph
+    levels: list[Partition]
+    iterations: int = 1
+    converged: bool = True
+    trace: list = field(default_factory=list)
+    weights: np.ndarray | None = None
 
 
-def flatten(dendrogram: Dendrogram) -> Partition:
-    """Compose dendrogram levels into a partition of the original nodes."""
-    if not dendrogram.levels:
-        raise ValueError("empty dendrogram")
-    acc = dendrogram.levels[0].assignment
-    for level in dendrogram.levels[1:]:
+def flatten(levels: list[Partition]) -> Partition:
+    """Compose per-level partitions into a partition of the original nodes."""
+    if not levels:
+        raise ValueError("no levels to flatten")
+    acc = levels[0].assignment
+    for level in levels[1:]:
         acc = level.assignment[acc]
     return Partition(acc)
 
@@ -277,13 +281,13 @@ def _one_hierarchy(graph, init, cfg, rng):
     levels: list[Partition] = []
     current = graph
     total = 0
-    for _ in range(cfg.max_passes):
+    for _ in range(MAX_PASSES):
         ctx = ModularityContext(current, init)
         init = None
         order = np.arange(current.n)
         if cfg.shuffle:
             rng.shuffle(order)
-        accepted = _local_moving(ctx, order, cfg.min_gain)
+        accepted = _local_moving(ctx, order, MIN_GAIN)
         total += accepted
         part = Partition.from_labels(ctx.assignment)
         if accepted == 0:
@@ -297,7 +301,7 @@ def _one_hierarchy(graph, init, cfg, rng):
     return levels, total
 
 
-def louvain(graph: ReducedGraph, config: LouvainConfig | None = None) -> LouvainResult:
+def louvain(graph: ReducedGraph, config: LouvainConfig | None = None) -> ClusterResult:
     """Maximize modularity of ``graph``; the cluster count is discovered.
 
     Hierarchies of local moving and aggregation are rerun from the
@@ -309,7 +313,6 @@ def louvain(graph: ReducedGraph, config: LouvainConfig | None = None) -> Louvain
     modularity is recomputed from scratch on the input graph.
     """
     cfg = config if config is not None else LouvainConfig()
-    cfg.validate()
     if graph.n == 0:
         raise ValueError("empty graph")
     if graph.total_weight_2m <= 0:
@@ -317,23 +320,16 @@ def louvain(graph: ReducedGraph, config: LouvainConfig | None = None) -> Louvain
 
     rng = np.random.default_rng(cfg.seed)
     levels, _ = _one_hierarchy(graph, None, cfg, rng)
-    for _ in range(cfg.max_passes):
-        flat = flatten(Dendrogram(levels))
+    for _ in range(MAX_PASSES):
+        flat = flatten(levels)
         relevels, moves = _one_hierarchy(graph, flat, cfg, rng)
         if moves:
             levels = relevels
             continue
-        recut = _recut_small_clusters(graph, flat, cfg.min_gain)
+        recut = _recut_small_clusters(graph, flat, MIN_GAIN)
         if recut is None:
             break
         levels, _ = _one_hierarchy(graph, recut, cfg, rng)
 
-    dendrogram = Dendrogram(levels)
-    flat = flatten(dendrogram)
-    q = modularity(graph, flat)
-    return LouvainResult(
-        partition=flat,
-        num_clusters=flat.c,
-        modularity=q,
-        dendrogram=dendrogram,
-    )
+    flat = flatten(levels)
+    return ClusterResult(flat, modularity(graph, flat), graph, levels)

@@ -26,7 +26,6 @@ _BLOCK_ROWS = 2048
 __all__ = [
     "Partition",
     "ModularityContext",
-    "null_model_entry",
     "modularity",
     "same_clustering",
 ]
@@ -309,12 +308,3 @@ class ModularityContext:
         return float(
             np.add.reduce(self.sigma_in) / self.two_m - np.add.reduce(frac * frac)
         )
-
-
-def null_model_entry(ctx, i, j) -> float:
-    """Expected weight between nodes i and j: k_i * k_j / 2m."""
-    if isinstance(ctx, ModularityContext):
-        d, two_m = ctx.degrees, ctx.two_m
-    else:
-        d, two_m = ctx.node_degrees, ctx.total_weight_2m
-    return float(d[i] * d[j] / two_m)

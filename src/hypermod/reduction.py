@@ -222,18 +222,14 @@ def random_walk_matrix(g: Hypergraph):
     """Row-stochastic transition matrix of the hypergraph random walk.
 
     Step from node i: choose an incident hyperedge proportional to weight,
-    then one of its other members uniformly. Returns a CSR matrix whose
-    rows sum to 1.
+    then one of its other members uniformly. That is D⁻¹A, for A the
+    degree-preserving reduction and D the weighted node degrees. Returns a
+    CSR matrix whose rows sum to 1.
     """
-    delta = g.edge_degrees
-    if int(delta.min()) < 2:
-        raise ValueError(
-            "random walk needs every hyperedge degree >= 2; run preprocess() first"
-        )
     d = degrees(g).node_degrees
     if np.any(d <= 0):
         raise ValueError("isolated node: every node must belong to a hyperedge")
-    walk = _expand(g, g.weights / (delta - 1.0))
+    walk = degree_preserving_reduce(g).adjacency
     rows = np.repeat(np.arange(g.n), np.diff(walk.indptr))
     walk.data = walk.data / d[rows]
     return walk

@@ -155,6 +155,15 @@ class TestEval:
         assert code == 1
         assert "align" in capsys.readouterr().err
 
+    def test_label_beyond_int64_is_an_error(self, tmp_path, capsys):
+        pred = tmp_path / "pred.txt"
+        pred.write_text("1\n2\n99999999999999999999\n")
+        truth = tmp_path / "truth.txt"
+        truth.write_text("0\n0\n1\n")
+        code = run("eval", "--pred", pred, "--truth", truth)
+        assert code == 1
+        assert "entries must fit a 64-bit integer" in capsys.readouterr().err
+
     def test_output_file(self, tmp_path):
         pred = tmp_path / "p.tsv"
         pred.write_text("1\t0\n2\t1\n")
@@ -217,6 +226,14 @@ class TestStats:
         code = run("stats", "--input", hgr, "--partition", part)
         assert code == 1
         assert "cover" in capsys.readouterr().err
+
+    def test_node_beyond_int64_is_an_error(self, synth_files, tmp_path, capsys):
+        hgr, _ = synth_files
+        part = tmp_path / "p.tsv"
+        part.write_text("1\t0\n2\t99999999999999999999\n")
+        code = run("stats", "--input", hgr, "--partition", part)
+        assert code == 1
+        assert "entries must fit a 64-bit integer" in capsys.readouterr().err
 
 
 class TestBench:

@@ -80,10 +80,6 @@ class TestLoad:
         with pytest.raises(FormatError, match="64-bit"):
             loads("1 99999999999999999999\n99999999999999999999 1\n")
 
-    def test_unknown_format_name(self):
-        with pytest.raises(ValueError, match="format"):
-            loads("1 2\n1 2\n", format="patoh")
-
     def test_load_roundtrip(self, tmp_path):
         g = Hypergraph(4, [[0, 1, 2], [2, 3]], weights=[2.5, 1.0])
         path = tmp_path / "g.hgr"

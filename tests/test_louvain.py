@@ -5,7 +5,6 @@ import pytest
 from scipy import sparse
 
 from hypermod import (
-    Dendrogram,
     GenConfig,
     Hypergraph,
     LouvainConfig,
@@ -42,20 +41,12 @@ def small_random_hypergraph(rng):
     return Hypergraph(n, edges, weights)
 
 
-class TestConfig:
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            LouvainConfig(min_gain=-1.0).validate()
-        with pytest.raises(ValueError):
-            LouvainConfig(max_passes=0).validate()
-
-
 class TestLouvain:
     def test_two_triangles_with_bridge(self):
         edges = [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [2, 3]]
         rg = degree_preserving_reduce(Hypergraph(6, edges))
         res = louvain(rg)
-        assert res.num_clusters == 2
+        assert res.partition.c == 2
         assert same_clustering(res.partition, Partition([0, 0, 0, 1, 1, 1]))
         q_max, _ = max_modularity_exhaustive(rg.to_dense())
         assert res.modularity == pytest.approx(q_max, abs=1e-12)
@@ -63,7 +54,7 @@ class TestLouvain:
     def test_single_hyperedge_collapses_to_one_cluster(self):
         rg = degree_preserving_reduce(Hypergraph(3, [[0, 1, 2]]))
         res = louvain(rg)
-        assert res.num_clusters == 1
+        assert res.partition.c == 1
         assert res.modularity == 0.0
         # No partition of three nodes beats the single cluster here.
         q_max, _ = max_modularity_exhaustive(rg.to_dense())
@@ -154,16 +145,16 @@ class TestAggregate:
 class TestDendrogram:
     def test_flatten_one_level_identity(self):
         p = Partition([0, 1, 1, 0])
-        assert flatten(Dendrogram([p])) == p
+        assert flatten([p]) == p
 
     def test_flatten_composes_levels(self):
         fine = Partition([0, 0, 1, 1])
         coarse = Partition([0, 1])
-        assert flatten(Dendrogram([fine, coarse])) == Partition([0, 0, 1, 1])
+        assert flatten([fine, coarse]) == Partition([0, 0, 1, 1])
 
     def test_flatten_empty_rejected(self):
         with pytest.raises(ValueError):
-            flatten(Dendrogram([]))
+            flatten([])
 
     def test_levels_monotone_and_consistent(self):
         rng = np.random.default_rng(23)
@@ -172,10 +163,10 @@ class TestDendrogram:
         res = louvain(rg)
         # Composing all levels reproduces the returned partition, and
         # modularity never decreases from one level to the next.
-        assert flatten(res.dendrogram) == res.partition
+        assert flatten(res.levels) == res.partition
         current = rg
         previous_q = None
-        for level in res.dendrogram.levels:
+        for level in res.levels:
             q = modularity(current, level)
             if previous_q is not None:
                 assert q >= previous_q - 1e-12

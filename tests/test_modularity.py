@@ -13,7 +13,6 @@ from hypermod import (
     clique_reduce,
     degree_preserving_reduce,
     modularity,
-    null_model_entry,
     same_clustering,
 )
 
@@ -59,26 +58,6 @@ class TestPartition:
         c = Partition([0, 1, 0, 1])
         assert same_clustering(a, b)
         assert not same_clustering(a, c)
-
-
-class TestNullModel:
-    def test_single_dyadic_edge(self):
-        rg = degree_preserving_reduce(Hypergraph(2, [[0, 1]]))
-        assert null_model_entry(rg, 0, 1) == 0.5
-
-    def test_regular_case_d_over_n(self):
-        # 4-cycle: every node degree 2, so expected weight is d/n = 0.5.
-        g = Hypergraph(4, [[0, 1], [1, 2], [2, 3], [3, 0]])
-        rg = degree_preserving_reduce(g)
-        assert null_model_entry(rg, 0, 2) == pytest.approx(2.0 / 4.0)
-
-    def test_symmetric_in_arguments(self):
-        rng = np.random.default_rng(1)
-        g = random_hypergraph(rng, n_max=20, weighted=True)
-        rg = degree_preserving_reduce(g)
-        ctx = ModularityContext(rg)
-        for i, j in [(0, 1), (2, 3), (1, 0)]:
-            assert null_model_entry(ctx, i, j) == null_model_entry(ctx, j, i)
 
 
 class TestModularityValue:

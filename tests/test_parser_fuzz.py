@@ -8,6 +8,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hypermod import FormatError, load_labels, loads  # noqa: E402
+from hypermod.hypergraph import read_label_rows  # noqa: E402
 
 
 # Tokens for near-valid files. Every integer that can parse as a valid
@@ -52,3 +53,18 @@ class TestParserFuzz:
             load_labels(path)
         except FormatError:
             pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(TEXTS, st.sampled_from([(1,), (1, 2)]))
+    @example("1\t0\n2\t99999999999999999999\n", (1, 2))
+    @example("1\t0\n2\n", (1, 2))
+    @example("1 2 3\n", (1, 2))
+    def test_read_label_rows(self, tmp_path_factory, text, widths):
+        path = tmp_path_factory.mktemp("rows") / "rows.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            rows = read_label_rows(path, widths)
+        except FormatError:
+            return
+        assert rows.dtype == "int64"
+        assert rows.ndim == 2 and rows.shape[1] in widths

@@ -69,7 +69,7 @@ class TestAgglomerate:
         g = random_hypergraph(rng, n_max=40, weighted=True)
         rg = degree_preserving_reduce(g)
         res = louvain(rg)
-        for k in range(1, res.num_clusters + 1):
+        for k in range(1, res.partition.c + 1):
             out = agglomerate(rg, res.partition, k)
             assert out.c == k
 
@@ -79,9 +79,9 @@ class TestAgglomerate:
             g = random_hypergraph(rng, n_max=40, weighted=True)
             rg = degree_preserving_reduce(g)
             res = louvain(rg)
-            if res.num_clusters < 3:
+            if res.partition.c < 3:
                 continue
-            k = res.num_clusters - 1
+            k = res.partition.c - 1
             out = agglomerate(rg, res.partition, k)
             # Every original cluster maps into exactly one output cluster.
             for members in res.partition.clusters():
@@ -92,7 +92,7 @@ class TestAgglomerate:
         g = random_hypergraph(rng, n_max=40)
         rg = degree_preserving_reduce(g)
         res = louvain(rg)
-        k = max(1, res.num_clusters // 2)
+        k = max(1, res.partition.c // 2)
         a = agglomerate(rg, res.partition, k)
         b = agglomerate(rg, res.partition, k)
         assert a == b
