@@ -38,7 +38,6 @@ from .modularity import (
     ModularityContext,
     Partition,
     modularity,
-    same_clustering,
 )
 from .reduction import (
     DENSE_NODE_LIMIT,
@@ -46,7 +45,6 @@ from .reduction import (
     clique_reduce,
     degree_preserving_reduce,
     random_walk_matrix,
-    write_edge_list,
 )
 from .refine import agglomerate
 from .synthgen import GenConfig, default_size_buckets, generate
@@ -84,11 +82,9 @@ __all__ = [
     "modularity",
     "preprocess",
     "random_walk_matrix",
-    "same_clustering",
     "symmetric_f1",
     "two_way_cut_score",
     "update_weights",
-    "write_edge_list",
     "write_hmetis",
     "write_labels",
     "write_trace",

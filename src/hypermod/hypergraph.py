@@ -52,9 +52,11 @@ class Hypergraph:
     every hyperedge, concatenated in edge order, hyperedge j taking the
     next ``edge_degrees[j]`` entries. ``edges`` gives the same nodes as
     one array per hyperedge.
-    ``node_labels`` optionally records external identifiers (1-based file
-    indices for loaded graphs); it is carried through preprocessing so
-    results can be reported against the original numbering.
+    ``node_labels`` optionally records external identifiers; it is carried
+    through preprocessing so results can be reported against the original
+    numbering. After ``load`` they are the 1-based file ids. A graph built
+    without them, such as ``generate``'s, has none until ``preprocess``,
+    which then records the 0-based indices of the graph it was given.
 
     Instances are immutable by convention and safe to share between threads.
     """
@@ -370,8 +372,11 @@ def preprocess(g: Hypergraph) -> Hypergraph:
     with the lowest node index in its component (``_component_labels``);
     the largest component wins and ties go to the lowest label, i.e. to the
     component containing the lowest node index. Hyperedges keep their
-    order and weights. Node indices are compacted; prior identifiers (or,
-    failing that, the current indices) are preserved in ``node_labels``.
+    order and weights. Node indices are compacted; prior identifiers are
+    preserved in ``node_labels``: 1-based file ids for a loaded graph, or,
+    for a graph without labels (e.g. from ``generate``), its 0-based
+    indices. So index a truth array by ``node_labels - 1`` after ``load``
+    and by ``node_labels`` after ``generate``.
 
     Raises ValueError if no hyperedge with at least two nodes remains.
     """

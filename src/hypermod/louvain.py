@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
-from .modularity import ModularityContext, Partition, modularity
+from .modularity import ModularityContext, Partition, cluster_matrix, modularity
 from .reduction import ReducedGraph
 
 __all__ = [
@@ -89,15 +88,15 @@ def flatten(levels: list[Partition]) -> Partition:
 def aggregate(graph: ReducedGraph, partition: Partition) -> ReducedGraph:
     """Collapse clusters into super-nodes, keeping self-loops.
 
-    The diagonal of the result carries each cluster's internal weight, so
-    modularity of the aggregate under the identity partition equals the
-    fine graph's modularity under ``partition``.
+    The result is the cluster matrix Mᵀ·(A·M) from which modularity and
+    ``ModularityContext`` read their cluster sums, so its self-loops and
+    degrees are those sums bit for bit, and modularity of the aggregate
+    under the identity partition equals the fine graph's modularity under
+    ``partition``.
     """
-    n, c = graph.n, partition.c
-    membership = sparse.csr_matrix(
-        (np.ones(n), (np.arange(n), partition.assignment)), shape=(n, c)
+    return ReducedGraph(
+        cluster_matrix(graph.adjacency, partition.assignment, partition.c)
     )
-    return ReducedGraph((membership.T @ graph.adjacency @ membership).tocsr())
 
 
 def _local_moving(ctx: ModularityContext, order, min_gain) -> int:

@@ -5,8 +5,10 @@ adjacency row sums and 2m their total. When the adjacency is the
 degree-preserving reduction, the k_i coincide with the weighted hypergraph
 node degrees, so this is the hypergraph analogue of the configuration
 model. Modularity is evaluated through per-cluster sufficient statistics
-(total degree and internal weight); the quadratic double-sum form is never
-materialized.
+(internal weight and total degree), both read off one product: the c x c
+cluster matrix Mᵀ·(A·M) for the one-hot membership M, whose diagonal and
+row sums they are. Louvain's aggregation step takes the same matrix as its
+coarse graph. The quadratic double-sum form is never materialized.
 """
 
 from __future__ import annotations
@@ -14,20 +16,18 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
+from scipy import sparse
+
+from .reduction import ReducedGraph
 
 # Rows with at most this many stored entries are scanned with Python scalars
 # in ``ModularityContext.neighbor_cluster_weights``; longer rows take numpy.
 SHORT_ROW = 128
 
-# ``_partition_sums`` sums short rows this many at a time, so that its
-# temporaries stay within _BLOCK_ROWS * SHORT_ROW = 2**18 entries.
-_BLOCK_ROWS = 2048
-
 __all__ = [
     "Partition",
     "ModularityContext",
     "modularity",
-    "same_clustering",
 ]
 
 
@@ -80,87 +80,39 @@ class Partition:
         return f"Partition(n={len(self)}, c={self.c})"
 
 
-def same_clustering(a: Partition, b: Partition) -> bool:
-    """True when two partitions are identical up to cluster relabeling."""
-    if len(a) != len(b):
-        return False
-    return np.array_equal(
-        _canonical_labels(a.assignment), _canonical_labels(b.assignment)
-    )
+def cluster_matrix(adjacency, labels, c):
+    """The c x c cluster matrix Mᵀ·(A·M) as CSR.
 
-
-def _row_sums(indptr, data):
-    """``np.add.reduce`` of every row of a CSR whose rows have at most
-    ``SHORT_ROW`` entries, bit for bit.
-
-    Rows are grouped by length and each group is summed as one 2-D gather
-    along axis 1, which runs the same pairwise summation over each row as
-    a 1-D reduce. Empty rows sum to 0.0.
+    M is the n x c one-hot membership matrix of ``labels``. Entry (a, b)
+    is the total adjacency weight from cluster a to cluster b, so the
+    diagonal holds each cluster's internal weight and the row sums its
+    volume. A·M is formed first, which keeps A in CSR without a copy.
     """
-    lengths = np.diff(indptr)
-    sums = np.zeros(lengths.size)
-    order = np.argsort(lengths, kind="stable")
-    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
-    for rows in np.split(order, cuts):
-        length = int(lengths[rows[0]])
-        if length:
-            sums[rows] = data[indptr[rows, None] + np.arange(length)].sum(axis=1)
-    return sums
+    n = labels.size
+    member = sparse.csr_matrix((np.ones(n), labels, np.arange(n + 1)), shape=(n, c))
+    return member.T.tocsr() @ (adjacency @ member)
 
 
-def _partition_sums(adjacency, labels, nslots):
-    """Per-cluster degree and internal-weight sums.
-
-    Each row's total and the sum of its in-cluster entries are reduced as
-    ``np.add.reduce`` reduces them: a row of more than ``SHORT_ROW``
-    entries by one reduce each, shorter rows ``_BLOCK_ROWS`` at a time by
-    ``_row_sums``. The row sums are then added per cluster in row order
-    starting from 0.0 by one bincount, so the fully-internal case
-    reproduces the degree sum bit for bit; this is what makes the
-    one-cluster modularity land on exactly 0.
+def _cluster_sums(adjacency, labels, c):
+    """Per-cluster internal weight and volume: the self-loops and degrees
+    of the cluster matrix's ReducedGraph, which is what ``aggregate``
+    returns, so the two agree bit for bit. With one cluster both are the
+    single stored value, which puts the one-cluster modularity at exactly 0.
     """
-    indptr, indices, data = adjacency.indptr, adjacency.indices, adjacency.data
-    lengths = np.diff(indptr)
-    row_tot = np.zeros(lengths.size)
-    row_in = np.zeros(lengths.size)
-    long = np.flatnonzero(lengths > SHORT_ROW)
-    for i, lo, hi in zip(
-        long.tolist(), indptr[long].tolist(), indptr[long + 1].tolist()
-    ):
-        row = data[lo:hi]
-        row_tot[i] = np.add.reduce(row)
-        row_in[i] = np.add.reduce(row[labels[indices[lo:hi]] == labels[i]])
-    short = np.flatnonzero((lengths > 0) & (lengths <= SHORT_ROW))
-    for b0 in range(0, short.size, _BLOCK_ROWS):
-        rows = short[b0 : b0 + _BLOCK_ROWS]
-        count = lengths[rows]
-        local = np.concatenate(([0], np.cumsum(count)))
-        pos = np.repeat(indptr[rows] - local[:-1], count) + np.arange(local[-1])
-        vals = data[pos]
-        row_tot[rows] = _row_sums(local, vals)
-        inside = np.flatnonzero(
-            labels[indices[pos]] == np.repeat(labels[rows], count)
-        )
-        row_in[rows] = _row_sums(np.searchsorted(inside, local), vals[inside])
-    sigma_in = np.bincount(labels, weights=row_in, minlength=nslots)
-    sigma_tot = np.bincount(labels, weights=row_tot, minlength=nslots)
-    return sigma_in, sigma_tot
+    clusters = ReducedGraph(cluster_matrix(adjacency, labels, c))
+    return clusters.self_loops, clusters.node_degrees
 
 
 def modularity(graph, partition: Partition) -> float:
-    """Modularity of a partition, recomputed from scratch.
+    """Modularity of a partition of a ReducedGraph, recomputed from scratch.
 
-    ``graph`` may be a ReducedGraph or a ModularityContext. The normalizer
-    2m is the total adjacency weight re-accumulated from the cluster sums,
-    which keeps the single-cluster value at exactly 0.
+    The normalizer 2m is the total adjacency weight re-accumulated from the
+    cluster volumes, which keeps the single-cluster value at exactly 0.
     """
-    if isinstance(graph, ModularityContext):
-        graph = graph.graph
-    adjacency = graph.adjacency
-    if len(partition) != adjacency.shape[0]:
+    if len(partition) != graph.n:
         raise ValueError("partition does not cover the graph's nodes")
-    sigma_in, sigma_tot = _partition_sums(
-        adjacency, partition.assignment, partition.c
+    sigma_in, sigma_tot = _cluster_sums(
+        graph.adjacency, partition.assignment, partition.c
     )
     two_m = np.add.reduce(sigma_tot)
     if two_m <= 0:
@@ -196,7 +148,7 @@ class ModularityContext:
             if len(partition) != graph.n:
                 raise ValueError("partition does not cover the graph's nodes")
             self.assignment = partition.assignment.copy()
-            self.sigma_in, self.sigma_tot = _partition_sums(
+            self.sigma_in, self.sigma_tot = _cluster_sums(
                 adjacency, self.assignment, partition.c
             )
             self.sizes = partition.cluster_sizes.copy()

@@ -29,7 +29,6 @@ combinatorial in hyperedge size, so a dense copy is refused above
 from __future__ import annotations
 
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -42,7 +41,6 @@ __all__ = [
     "clique_reduce",
     "degree_preserving_reduce",
     "random_walk_matrix",
-    "write_edge_list",
 ]
 
 DENSE_NODE_LIMIT = 20_000
@@ -234,12 +232,3 @@ def random_walk_matrix(g: Hypergraph):
     walk.data = walk.data / d[rows]
     return walk
 
-
-def write_edge_list(reduced: ReducedGraph, path) -> None:
-    """Export the upper triangle as ``i j weight`` lines (0-based, i < j)."""
-    upper = sparse.triu(reduced.adjacency, k=1).tocoo()
-    order = np.lexsort((upper.col, upper.row))
-    lines = [
-        f"{upper.row[t]} {upper.col[t]} {float(upper.data[t])!r}" for t in order
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -36,6 +36,17 @@ def modularity_double_sum_fast(adjacency, labels):
     return float(B[same].sum())
 
 
+def same_clustering(a, b):
+    """True when two partitions group the nodes identically, whatever the
+    cluster ids: every cluster of one meets exactly one cluster of the
+    other."""
+    a, b = np.asarray(a.assignment), np.asarray(b.assignment)
+    if a.shape != b.shape:
+        return False
+    pairs = {(int(x), int(y)) for x, y in zip(a, b)}
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
 def iter_set_partition_labels(n):
     """All set partitions of n items as restricted-growth label arrays."""
     if n == 0:

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +19,15 @@ from hypermod import (
     louvain,
     modularity,
     preprocess,
-    same_clustering,
 )
 from hypermod.louvain import _local_moving
 
 from conftest import random_hypergraph
-from oracles import local_moving_reference, max_modularity_exhaustive
+from oracles import (
+    local_moving_reference,
+    max_modularity_exhaustive,
+    same_clustering,
+)
 
 # The package re-exports the function ``modularity`` under the module's name.
 SHORT_ROW = importlib.import_module("hypermod.modularity").SHORT_ROW
@@ -140,6 +144,24 @@ class TestAggregate:
         p = Partition.from_labels(rng.integers(0, 3, size=rg.n))
         coarse = aggregate(rg, p)
         assert coarse.total_weight_2m == pytest.approx(rg.total_weight_2m, rel=1e-12)
+
+    def test_memory_well_below_the_adjacency(self):
+        # Forming Mᵀ·A first would convert A to CSC: a full adjacency copy.
+        rg = generated(2, n=600)
+        adjacency = rg.adjacency
+        assert adjacency.nnz > 0.9 * rg.n * rg.n
+        nbytes = sum(
+            a.nbytes for a in (adjacency.data, adjacency.indices, adjacency.indptr)
+        )
+        p = Partition.from_labels(np.arange(rg.n) % 10)
+        tracemalloc.start()
+        try:
+            coarse = aggregate(rg, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert coarse.n == 10
+        assert peak < nbytes / 4
 
 
 class TestDendrogram:

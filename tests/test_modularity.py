@@ -13,7 +13,6 @@ from hypermod import (
     clique_reduce,
     degree_preserving_reduce,
     modularity,
-    same_clustering,
 )
 
 from conftest import random_dyadic_hypergraph, random_hypergraph
@@ -26,6 +25,7 @@ from oracles import (
     modularity_double_sum,
     modularity_double_sum_fast,
     partition_sums_by_row,
+    same_clustering,
 )
 
 
@@ -252,48 +252,40 @@ def straddling_lengths(rng, n):
     return lengths
 
 
-def assert_sums_match(adjacency, labels, nslots):
-    got = modularity_module._partition_sums(adjacency, labels, nslots)
-    want = partition_sums_by_row(adjacency, labels, nslots)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape == (nslots,)
-        assert np.array_equal(bits(g), bits(w))
+def assert_sums_match(adjacency, labels):
+    """Cluster sums of ``ModularityContext`` against the per-row reference,
+    and against the aggregate's self-loops and degrees bit for bit."""
+    graph = ReducedGraph(adjacency)
+    part = Partition.from_labels(labels)
+    ctx = ModularityContext(graph, part)
+    want = partition_sums_by_row(adjacency, part.assignment, part.c)
+    for got, ref in zip((ctx.sigma_in, ctx.sigma_tot), want):
+        assert got.shape == ref.shape == (part.c,)
+        assert np.allclose(got, ref, rtol=1e-12, atol=0)
+    coarse = aggregate(graph, part)
+    assert np.array_equal(bits(ctx.sigma_in), bits(coarse.self_loops))
+    assert np.array_equal(bits(ctx.sigma_tot), bits(coarse.node_degrees))
 
 
 class TestPartitionSumsMatchReference:
-    """Grouped row sums and one bincount per cluster reproduce the per-row
-    loop bit for bit (floats compared as int64 bit patterns)."""
+    """Cluster sums read off the cluster matrix Mᵀ·(A·M) agree with one
+    reduce per row to 1e-12 relative, and are the aggregate's self-loops
+    and degrees bit for bit (floats compared as int64 bit patterns).
+    ``nslots`` is the cluster count; None means one slot per node."""
 
-    def test_row_sums_every_length(self):
-        rng = np.random.default_rng(51)
-        lengths = np.repeat(np.arange(0, SHORT_ROW + 1), 3)
-        rng.shuffle(lengths)
-        lengths = np.append(lengths, [0, 0])
-        mat = random_csr(rng, lengths, n_cols=SHORT_ROW)
-        got = modularity_module._row_sums(mat.indptr, mat.data)
-        want = [
-            np.add.reduce(mat.data[mat.indptr[i] : mat.indptr[i + 1]])
-            for i in range(mat.shape[0])
-        ]
-        assert np.array_equal(bits(got), bits(want))
-
-    @pytest.mark.parametrize("block", [None, 1, 37, 1000])
-    def test_random_rows_and_blocks(self, monkeypatch, block):
-        if block is not None:
-            monkeypatch.setattr(modularity_module, "_BLOCK_ROWS", block)
+    @pytest.mark.parametrize("nslots", [1, 2, 7, None])
+    def test_random_rows_and_blocks(self, nslots):
         rng = np.random.default_rng(52)
         for _ in range(4):
             n = int(rng.integers(3 * SHORT_ROW, 4 * SHORT_ROW))
             mat = random_csr(rng, straddling_lengths(rng, n), n_cols=n)
-            for nslots in (1, 2, 7, n):
-                labels = rng.integers(0, nslots, size=n)
-                labels[:nslots] = np.arange(nslots)
-                assert_sums_match(mat, labels, nslots)
+            slots = nslots or n
+            labels = rng.integers(0, slots, size=n)
+            labels[:slots] = np.arange(slots)
+            assert_sums_match(mat, labels)
 
-    @pytest.mark.parametrize("block", [None, 3])
-    def test_aggregated_graphs_with_self_loops(self, monkeypatch, mixed_corpus, block):
-        if block is not None:
-            monkeypatch.setattr(modularity_module, "_BLOCK_ROWS", block)
+    @pytest.mark.parametrize("nslots", [3, None])
+    def test_aggregated_graphs_with_self_loops(self, mixed_corpus, nslots):
         rng = np.random.default_rng(53)
         for g in mixed_corpus[:10]:
             graph = degree_preserving_reduce(g)
@@ -301,11 +293,10 @@ class TestPartitionSumsMatchReference:
                 coarse = rng.integers(0, max(3, graph.n // 3), size=graph.n)
                 graph = aggregate(graph, Partition.from_labels(coarse))
                 assert graph.self_loops.any()
-                labels = rng.integers(0, 3, size=graph.n)
-                assert_sums_match(graph.adjacency, labels, 3)
+                labels = rng.integers(0, nslots or graph.n, size=graph.n)
+                assert_sums_match(graph.adjacency, labels)
 
-    def test_one_cluster_exactly_zero_across_blocks(self, monkeypatch):
-        monkeypatch.setattr(modularity_module, "_BLOCK_ROWS", 5)
+    def test_one_cluster_exactly_zero_across_blocks(self):
         rng = np.random.default_rng(54)
         for _ in range(5):
             mat = random_csr(rng, straddling_lengths(rng, 300), n_cols=300)

@@ -7,7 +7,6 @@ from hypermod import (
     degree_preserving_reduce,
     degrees,
     random_walk_matrix,
-    write_edge_list,
 )
 from hypermod.reduction import _dense_edges
 
@@ -204,14 +203,3 @@ class TestRandomWalk:
         with pytest.raises(ValueError, match="isolated"):
             random_walk_matrix(g)
 
-
-class TestEdgeListExport:
-    def test_format_and_order(self, tmp_path):
-        g = Hypergraph(3, [[0, 1, 2], [0, 1]])
-        path = tmp_path / "edges.txt"
-        write_edge_list(degree_preserving_reduce(g), path)
-        assert path.read_text().splitlines() == [
-            "0 1 1.5",
-            "0 2 0.5",
-            "1 2 0.5",
-        ]

@@ -8,10 +8,10 @@ from hypermod import (
     agglomerate,
     degree_preserving_reduce,
     louvain,
-    same_clustering,
 )
 
 from conftest import random_hypergraph
+from oracles import same_clustering
 
 
 def graph_from_dense(dense):
