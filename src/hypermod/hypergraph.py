@@ -210,7 +210,8 @@ def _tokenize(text):
         yield lineno, line.split()
 
 
-def _parse_hmetis(text):
+def loads(text: str) -> Hypergraph:
+    """Parse a hypergraph from a string in hMETIS format."""
     rows = _tokenize(text)
     try:
         lineno, header = next(rows)
@@ -266,11 +267,6 @@ def _parse_hmetis(text):
     return Hypergraph(
         n, edges, weights if weighted else None, node_labels=np.arange(1, n + 1)
     )
-
-
-def loads(text: str) -> Hypergraph:
-    """Parse a hypergraph from a string in hMETIS format."""
-    return _parse_hmetis(text)
 
 
 def load(path) -> Hypergraph:

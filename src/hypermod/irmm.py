@@ -63,7 +63,7 @@ class IrmmConfig:
     def validate(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if self.threshold <= 0:
+        if not self.threshold > 0:
             raise ValueError("threshold must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")

@@ -1,17 +1,11 @@
 """Greedy two-phase Louvain optimizer for (reduced) weighted graphs.
 
-Phase one repeatedly sweeps the nodes, moving each to the neighboring
-cluster with the largest positive modularity gain (ties to the lowest
-cluster id, zero-gain moves rejected). Phase two collapses clusters into
-super-nodes, keeping intra-cluster weight as self-loops, and repeats on
-the aggregated graph until a pass accepts no move.
-
-A node visit costs time in its row length, not in n: a row of at most
-``modularity.SHORT_ROW`` (128) stored entries is accumulated into a dict
-and scored with Python scalars, and a longer row is binned with numpy and
-scored as one array. Both paths add each cluster's weights in row order,
-evaluate the same gain expression, and break ties toward the lowest
-cluster id, so the partitions do not depend on which path a row takes.
+Phase one (``ModularityContext.local_moving``) repeatedly sweeps the
+nodes, moving each to the neighboring cluster with the largest positive
+modularity gain (ties to the lowest cluster id, zero-gain moves rejected).
+Phase two collapses clusters into super-nodes, keeping intra-cluster
+weight as self-loops, and repeats on the aggregated graph until a pass
+accepts no move.
 """
 
 from __future__ import annotations
@@ -20,7 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modularity import ModularityContext, Partition, cluster_matrix, modularity
+from .modularity import (
+    MIN_GAIN,
+    ModularityContext,
+    Partition,
+    cluster_matrix,
+    modularity,
+)
 from .reduction import ReducedGraph
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "aggregate",
 ]
 
-# Smallest gain that justifies a move (floating-point noise floor).
-MIN_GAIN = 1e-9
 # Cap on aggregation levels per hierarchy and on hierarchy reruns.
 MAX_PASSES = 50
 
@@ -99,95 +97,16 @@ def aggregate(graph: ReducedGraph, partition: Partition) -> ReducedGraph:
     )
 
 
-def _local_moving(ctx: ModularityContext, order, min_gain) -> int:
-    """Sweep nodes until a full pass accepts no move; returns move count.
-
-    Candidate targets are the clusters adjacent to the node plus, when the
-    node is not alone, the lowest empty cluster (letting a badly placed
-    node step out of an overgrown cluster). The best gain wins if it
-    exceeds ``min_gain``; equal gains go to the lowest cluster id.
-
-    Each visit makes one ``ctx.neighbor_cluster_weights`` call. For a row
-    of at most ``SHORT_ROW`` entries it returns a dict, and the visit scores
-    every candidate with Python scalars in a loop that keeps the highest
-    gain and, among equal gains, the lowest cluster id. A longer row gets
-    ascending id and weight arrays: one vectorized gain expression and
-    ``argmax`` (the first maximum, so again the lowest id) pick among the
-    adjacent clusters, and the spare cluster is then scored by the scalar
-    loop. Both paths sum each cluster's weights in row order starting from
-    0.0 and evaluate the gain with the same operations in the same order,
-    so they choose the same moves bit for bit.
-    """
-    assignment = ctx.assignment
-    degrees = ctx.degrees
-    sigma_tot = ctx.sigma_tot
-    sizes = ctx.sizes
-    two_m = ctx.two_m
-    two_m_sq = two_m * two_m
-    tot_of = sigma_tot.item
-    total = 0
-    order = order.tolist()
-    while True:
-        moves = 0
-        for u in order:
-            neighbors = ctx.neighbor_cluster_weights(u)
-            a = assignment.item(u)
-            k = degrees.item(u)
-            k2 = 2.0 * k
-            tot_a_without = tot_of(a) - k
-            best, best_gain, s_to = -1, min_gain, 0.0
-            if isinstance(neighbors, dict):
-                if not neighbors:
-                    continue
-                s_a = neighbors.pop(a, 0.0)
-                scalar = neighbors
-            else:
-                cand, weights = neighbors
-                if cand.size == 0:
-                    continue
-                s_a = ctx._weight_to(neighbors, a)
-                other = cand != a
-                cand = cand[other]
-                weights = weights[other]
-                if cand.size:
-                    gains = (
-                        2.0 * (weights - s_a) / two_m
-                        - k2 * (sigma_tot[cand] - tot_a_without) / two_m_sq
-                    )
-                    i = int(np.argmax(gains))
-                    if gains[i] > min_gain:
-                        best, best_gain = int(cand[i]), gains[i]
-                        s_to = float(weights[i])
-                scalar = {}
-            if sizes.item(a) > 1:
-                spare = ctx.first_empty_cluster()
-                if spare >= 0:
-                    scalar[spare] = 0.0
-            for c, w in scalar.items():
-                gain = (
-                    2.0 * (w - s_a) / two_m
-                    - k2 * (tot_of(c) - tot_a_without) / two_m_sq
-                )
-                if gain > best_gain or (gain == best_gain and c < best):
-                    best, best_gain, s_to = c, gain, w
-            if best >= 0:
-                ctx.move(u, best, s_frm=s_a, s_to=s_to)
-                moves += 1
-        total += moves
-        if moves == 0:
-            return total
-
-
 _RECUT_SIZE_LIMIT = 12
 
 
-def _best_bisection(block, k, two_m, skip_side=None):
+def _best_bisection(block, k, two_m, skip_side):
     """Exhaustively score all two-way splits of one node subset.
 
     ``block`` is the dense adjacency among the subset, ``k`` its degrees.
     Returns (score, side) for the best bisection, where score is the
     subset's contribution to modularity: sum of sigma_in/2m - (sigma_tot/2m)^2
-    over the two parts. ``skip_side`` marks a configuration to ignore.
+    over the two parts. ``skip_side``, unless None, marks a split to ignore.
     """
     size = k.size
     shifts = np.arange(size)
@@ -211,55 +130,59 @@ def _best_bisection(block, k, two_m, skip_side=None):
     return best_score, best_side
 
 
-def _recut_small_clusters(graph, partition, min_gain, max_size=_RECUT_SIZE_LIMIT):
+def _recut_small_clusters(graph, partition):
     """Strictly improving re-bisection of a small cluster or cluster pair.
 
     Greedy node moves can overshoot into configurations no single move can
-    leave; for unions of at most ``max_size`` nodes the exact two-way
-    split is cheap to enumerate. Returns the improved partition or None.
-    Large clusters are left to the move phases, so this costs nothing on
-    big graphs.
+    leave; for a cluster, alone or with an adjacent one (read off the
+    cluster matrix), of at most ``_RECUT_SIZE_LIMIT`` nodes, the exact
+    two-way split is cheap to enumerate. Returns the improved partition or
+    None.
+
+    Pairs with no edge between them cannot win. Split a into (a1, a2) and
+    b into (b1, b2), with degrees x, u, y, v and cut weights e_a, e_b inside
+    a and b, all over 2m. Then (a1 ∪ b1, a2 ∪ b2) gains g = 2(x − v)(u − y)
+    − e_a − e_b over (a, b), a alone gains g_a = 2xu − e_a, and b alone
+    g_b = 2yv − e_b. If g ≥ g_a and g ≥ g_b, then yv ≥ xy + uv and
+    xu ≥ xy + uv, so xyuv ≥ (xy + uv)² ≥ 4xyuv and one of x, y, u, v is 0.
+    With positive degrees one cluster then stays whole, say u = 0, and
+    g = g_b − 2xy < g_b. So g is below a gain the loop tries.
     """
     adjacency = graph.adjacency
     node_degrees = graph.node_degrees
     two_m = graph.total_weight_2m
     clusters = partition.clusters()
     sigma_tot = np.array([node_degrees[c].sum() for c in clusters])
+    # Only clusters below the limit can take part in a pair.
+    labels = partition.assignment
+    small = partition.cluster_sizes[labels] < _RECUT_SIZE_LIMIT
+    between = cluster_matrix(adjacency[small][:, small], labels[small], partition.c)
 
-    best_gain = min_gain
-    best_recut = None
-
-    def consider(members, current_side, current_score):
-        nonlocal best_gain, best_recut
-        block = adjacency[members][:, members].toarray()
-        k = node_degrees[members]
-        score, side = _best_bisection(block, k, two_m, skip_side=current_side)
-        if side is not None and score - current_score > best_gain:
-            best_gain = score - current_score
-            best_recut = (members, side)
-
+    best_gain, best_recut = MIN_GAIN, None
     for a, members_a in enumerate(clusters):
-        if 2 <= members_a.size <= max_size:
-            block = adjacency[members_a][:, members_a].toarray()
-            unsplit = (
-                block.sum() / two_m - (sigma_tot[a] / two_m) ** 2
-            )
-            consider(members_a, None, unsplit)
-        for b in range(a + 1, partition.c):
-            members_b = clusters[b]
-            size = members_a.size + members_b.size
-            if size < 2 or size > max_size:
+        size_a = members_a.size
+        row = between.indices[between.indptr[a] : between.indptr[a + 1]]
+        for b in [a] + np.sort(row[row > a]).tolist():
+            size = size_a if b == a else size_a + clusters[b].size
+            if not 2 <= size <= _RECUT_SIZE_LIMIT:
                 continue
-            members = np.concatenate([members_a, members_b])
-            current_side = np.zeros(size, dtype=bool)
-            current_side[: members_a.size] = True
+            members = np.concatenate([members_a, clusters[b]]) if b != a else members_a
             block = adjacency[members][:, members].toarray()
-            in_a = block[: members_a.size, : members_a.size].sum()
-            in_b = block[members_a.size :, members_a.size :].sum()
-            current = (in_a + in_b) / two_m - (
-                sigma_tot[a] ** 2 + sigma_tot[b] ** 2
-            ) / (two_m * two_m)
-            consider(members, current_side, current)
+            if b == a:
+                current_side = None
+                current = block.sum() / two_m - (sigma_tot[a] / two_m) ** 2
+            else:
+                current_side = np.arange(size) < size_a
+                in_a = block[:size_a, :size_a].sum()
+                in_b = block[size_a:, size_a:].sum()
+                current = (in_a + in_b) / two_m - (
+                    sigma_tot[a] ** 2 + sigma_tot[b] ** 2
+                ) / (two_m * two_m)
+            score, side = _best_bisection(
+                block, node_degrees[members], two_m, current_side
+            )
+            if side is not None and score - current > best_gain:
+                best_gain, best_recut = score - current, (members, side)
 
     if best_recut is None:
         return None
@@ -286,7 +209,7 @@ def _one_hierarchy(graph, init, cfg, rng):
         order = np.arange(current.n)
         if cfg.shuffle:
             rng.shuffle(order)
-        accepted = _local_moving(ctx, order, MIN_GAIN)
+        accepted = ctx.local_moving(order)
         total += accepted
         part = Partition.from_labels(ctx.assignment)
         if accepted == 0:
@@ -325,7 +248,7 @@ def louvain(graph: ReducedGraph, config: LouvainConfig | None = None) -> Cluster
         if moves:
             levels = relevels
             continue
-        recut = _recut_small_clusters(graph, flat, MIN_GAIN)
+        recut = _recut_small_clusters(graph, flat)
         if recut is None:
             break
         levels, _ = _one_hierarchy(graph, recut, cfg, rng)

@@ -9,6 +9,14 @@ model. Modularity is evaluated through per-cluster sufficient statistics
 cluster matrix Mᵀ·(A·M) for the one-hot membership M, whose diagonal and
 row sums they are. Louvain's aggregation step takes the same matrix as its
 coarse graph. The quadratic double-sum form is never materialized.
+
+Louvain's local moving is ``ModularityContext.local_moving``. A node visit
+costs time in its row length, not in n: a row of at most ``SHORT_ROW``
+(128) stored entries is accumulated into a dict and scored with Python
+scalars, and a longer row is binned with numpy and scored as one array.
+Both forms add each cluster's weights in row order starting from 0.0,
+evaluate the same gain expression with the same operations and break ties
+toward the lowest cluster id, so they choose the same moves bit for bit.
 """
 
 from __future__ import annotations
@@ -20,9 +28,10 @@ from scipy import sparse
 
 from .reduction import ReducedGraph
 
-# Rows with at most this many stored entries are scanned with Python scalars
-# in ``ModularityContext.neighbor_cluster_weights``; longer rows take numpy.
+# Longest row kept in the dict form (see the module docstring).
 SHORT_ROW = 128
+# Smallest gain that justifies a move (floating-point noise floor).
+MIN_GAIN = 1e-9
 
 __all__ = [
     "Partition",
@@ -125,13 +134,12 @@ class ModularityContext:
     """Mutable cluster statistics supporting incremental move evaluation.
 
     Tracks, for one ReducedGraph and a current assignment, each cluster's
-    total degree and internal weight. The owning optimizer mutates it via
-    :meth:`move`; reads are safe between mutations.
+    total degree and internal weight. :meth:`local_moving` mutates it
+    through :meth:`move`; reads are safe between mutations.
     """
 
     def __init__(self, graph, partition: Partition | None = None):
         adjacency = graph.adjacency
-        self.graph = graph
         self._indptr = adjacency.indptr
         self._indices = adjacency.indices
         self._data = adjacency.data
@@ -159,10 +167,8 @@ class ModularityContext:
 
         The node's self-loop is excluded, and so is a cluster whose weights
         sum to zero. A row of at most ``SHORT_ROW`` stored entries gives a
-        dict {cluster id: weight} accumulated with Python scalars; a longer
-        row gives (cluster ids ascending, weights) arrays from one bincount.
-        Both forms add each cluster's weights in row order starting from
-        0.0, so their sums are bit-identical.
+        dict {cluster id: weight}; a longer row gives (cluster ids
+        ascending, weights) arrays from one bincount.
         """
         lo, hi = self._indptr.item(node), self._indptr.item(node + 1)
         cols = self._indices[lo:hi]
@@ -194,47 +200,13 @@ class ModularityContext:
         cand = np.flatnonzero(sums)
         return cand, sums[cand]
 
-    @staticmethod
-    def _weight_to(neighbors, cluster):
-        """Weight into ``cluster`` from a ``neighbor_cluster_weights`` result."""
-        if isinstance(neighbors, dict):
-            return neighbors.get(cluster, 0.0)
-        cand, weights = neighbors
-        pos = np.searchsorted(cand, cluster)
-        if pos < cand.size and cand[pos] == cluster:
-            return float(weights[pos])
-        return 0.0
-
-    def gain_of_move(self, node, frm, to) -> float:
-        """Modularity change of moving ``node`` from cluster ``frm`` to ``to``."""
-        if self.assignment[node] != frm:
-            raise ValueError(f"node {node} is not in cluster {frm}")
-        if frm == to:
-            return 0.0
-        neighbors = self.neighbor_cluster_weights(node)
-        s_frm = self._weight_to(neighbors, frm)
-        s_to = self._weight_to(neighbors, to)
-        k = self.degrees[node]
-        two_m = self.two_m
-        tot_frm_without = self.sigma_tot[frm] - k
-        return float(
-            2.0 * (s_to - s_frm) / two_m
-            - 2.0 * k * (self.sigma_tot[to] - tot_frm_without) / (two_m * two_m)
-        )
-
-    def move(self, node, to, s_frm=None, s_to=None) -> None:
+    def move(self, node, to, s_frm, s_to) -> None:
         """Reassign ``node`` to cluster ``to`` and update the sums.
 
-        ``s_frm``/``s_to`` may pass precomputed neighbor weights into the
-        source and target clusters to avoid a second row scan.
+        ``s_frm``/``s_to`` are the node's edge weights into its current
+        cluster and into ``to``, self-loop excluded.
         """
         frm = self.assignment[node]
-        if frm == to:
-            return
-        if s_frm is None or s_to is None:
-            neighbors = self.neighbor_cluster_weights(node)
-            s_frm = self._weight_to(neighbors, frm)
-            s_to = self._weight_to(neighbors, to)
         k = self.degrees[node]
         loop = self.self_loops[node]
         self.sigma_tot[frm] -= k
@@ -254,9 +226,72 @@ class ModularityContext:
             heapq.heappop(heap)
         return heap[0] if heap else -1
 
-    def modularity(self) -> float:
-        """Modularity of the current assignment from the tracked sums."""
-        frac = self.sigma_tot / self.two_m
-        return float(
-            np.add.reduce(self.sigma_in) / self.two_m - np.add.reduce(frac * frac)
-        )
+    def local_moving(self, order) -> int:
+        """Sweep nodes in ``order`` until a full pass accepts no move;
+        returns the move count.
+
+        Candidate targets are the clusters adjacent to the node plus, when
+        the node is not alone, the lowest empty cluster (letting a badly
+        placed node step out of an overgrown cluster). The best gain wins
+        if it exceeds ``MIN_GAIN``; equal gains go to the lowest cluster id
+        (an array row's ``argmax`` takes the first maximum, and its spare
+        cluster is scored by the scalar loop).
+        """
+        assignment = self.assignment
+        degrees = self.degrees
+        sigma_tot = self.sigma_tot
+        sizes = self.sizes
+        two_m = self.two_m
+        two_m_sq = two_m * two_m
+        tot_of = sigma_tot.item
+        total = 0
+        order = order.tolist()
+        while True:
+            moves = 0
+            for u in order:
+                neighbors = self.neighbor_cluster_weights(u)
+                a = assignment.item(u)
+                k = degrees.item(u)
+                k2 = 2.0 * k
+                tot_a_without = tot_of(a) - k
+                best, best_gain, s_to = -1, MIN_GAIN, 0.0
+                if isinstance(neighbors, dict):
+                    if not neighbors:
+                        continue
+                    s_a = neighbors.pop(a, 0.0)
+                    scalar = neighbors
+                else:
+                    cand, weights = neighbors
+                    if cand.size == 0:
+                        continue
+                    other = cand != a
+                    s_a = 0.0 if other.all() else float(weights[~other][0])
+                    cand = cand[other]
+                    weights = weights[other]
+                    if cand.size:
+                        gains = (
+                            2.0 * (weights - s_a) / two_m
+                            - k2 * (sigma_tot[cand] - tot_a_without) / two_m_sq
+                        )
+                        i = int(np.argmax(gains))
+                        if gains[i] > MIN_GAIN:
+                            best, best_gain = int(cand[i]), gains[i]
+                            s_to = float(weights[i])
+                    scalar = {}
+                if sizes.item(a) > 1:
+                    spare = self.first_empty_cluster()
+                    if spare >= 0:
+                        scalar[spare] = 0.0
+                for c, w in scalar.items():
+                    gain = (
+                        2.0 * (w - s_a) / two_m
+                        - k2 * (tot_of(c) - tot_a_without) / two_m_sq
+                    )
+                    if gain > best_gain or (gain == best_gain and c < best):
+                        best, best_gain, s_to = c, gain, w
+                if best >= 0:
+                    self.move(u, best, s_a, s_to)
+                    moves += 1
+            total += moves
+            if moves == 0:
+                return total

@@ -75,8 +75,8 @@ def generate(config: GenConfig) -> tuple[Hypergraph, Partition]:
         raise ValueError("classes must lie in [2, n]")
     if not 0.0 <= config.homophily_deviation <= 1.0:
         raise ValueError("homophily_deviation must lie in [0, 1]")
-    if config.edge_factor <= 0:
-        raise ValueError("edge_factor must be positive")
+    if not 0 < config.edge_factor < np.inf:
+        raise ValueError("edge_factor must be finite and positive")
 
     buckets = (
         config.size_buckets

@@ -162,6 +162,57 @@ def _weight_to_reference(cand, weights, cluster):
     return 0.0
 
 
+def weight_to(neighbors, cluster):
+    """Weight into ``cluster`` from either form of a
+    ``neighbor_cluster_weights`` result (dict or ascending arrays)."""
+    if isinstance(neighbors, dict):
+        return neighbors.get(cluster, 0.0)
+    return _weight_to_reference(*neighbors, cluster)
+
+
+def gain_of_move(ctx, node, frm, to):
+    """Modularity change of moving ``node`` from cluster ``frm`` to ``to``,
+    from the context's tracked sums and a reference scan of the row."""
+    if ctx.assignment[node] != frm:
+        raise ValueError(f"node {node} is not in cluster {frm}")
+    if frm == to:
+        return 0.0
+    neighbors = _neighbor_cluster_weights_reference(ctx, node)
+    s_frm = _weight_to_reference(*neighbors, frm)
+    s_to = _weight_to_reference(*neighbors, to)
+    k = ctx.degrees[node]
+    two_m = ctx.two_m
+    tot_frm_without = ctx.sigma_tot[frm] - k
+    return float(
+        2.0 * (s_to - s_frm) / two_m
+        - 2.0 * k * (ctx.sigma_tot[to] - tot_frm_without) / (two_m * two_m)
+    )
+
+
+def move_node(ctx, node, to):
+    """``ctx.move`` with the row's weights into the source and target
+    clusters read by a reference scan; moving to its own cluster is a
+    no-op."""
+    frm = ctx.assignment[node]
+    if frm == to:
+        return
+    neighbors = _neighbor_cluster_weights_reference(ctx, node)
+    ctx.move(
+        node,
+        to,
+        _weight_to_reference(*neighbors, frm),
+        _weight_to_reference(*neighbors, to),
+    )
+
+
+def context_modularity(ctx):
+    """Modularity of a context's assignment from its tracked sums."""
+    frac = ctx.sigma_tot / ctx.two_m
+    return float(
+        np.add.reduce(ctx.sigma_in) / ctx.two_m - np.add.reduce(frac * frac)
+    )
+
+
 def local_moving_reference(ctx, order, min_gain):
     """Louvain local moving with every visit vectorized over numpy arrays.
 
@@ -208,6 +259,94 @@ def local_moving_reference(ctx, order, min_gain):
         total += moves
         if moves == 0:
             return total
+
+
+def _best_bisection_reference(block, k, two_m, skip_side=None):
+    """Exhaustively score all two-way splits of one node subset.
+
+    ``block`` is the dense adjacency among the subset, ``k`` its degrees.
+    Returns (score, side) for the best bisection, where score is the
+    subset's contribution to modularity: sum of sigma_in/2m - (sigma_tot/2m)^2
+    over the two parts. ``skip_side`` marks a configuration to ignore.
+    """
+    size = k.size
+    shifts = np.arange(size)
+    best_score = -np.inf
+    best_side = None
+    for bits in range(1, 1 << (size - 1)):
+        # Highest-index node pinned to one side: each split appears once.
+        side = ((bits >> shifts) & 1).astype(bool)
+        if skip_side is not None and (
+            np.array_equal(side, skip_side) or np.array_equal(~side, skip_side)
+        ):
+            continue
+        in1 = block[np.ix_(side, side)].sum()
+        in2 = block[np.ix_(~side, ~side)].sum()
+        tot1 = k[side].sum()
+        tot2 = k[~side].sum()
+        score = (in1 + in2) / two_m - (tot1 * tot1 + tot2 * tot2) / (two_m * two_m)
+        if score > best_score:
+            best_score = score
+            best_side = side.copy()
+    return best_score, best_side
+
+
+def recut_all_pairs(graph, partition, min_gain, max_size=12):
+    """Strictly improving re-bisection of a small cluster or cluster pair,
+    trying every single cluster and every pair of clusters, adjacent or
+    not. Returns the improved partition or None."""
+    from hypermod import Partition
+
+    adjacency = graph.adjacency
+    node_degrees = graph.node_degrees
+    two_m = graph.total_weight_2m
+    clusters = partition.clusters()
+    sigma_tot = np.array([node_degrees[c].sum() for c in clusters])
+
+    best_gain = min_gain
+    best_recut = None
+
+    def consider(members, current_side, current_score):
+        nonlocal best_gain, best_recut
+        block = adjacency[members][:, members].toarray()
+        k = node_degrees[members]
+        score, side = _best_bisection_reference(
+            block, k, two_m, skip_side=current_side
+        )
+        if side is not None and score - current_score > best_gain:
+            best_gain = score - current_score
+            best_recut = (members, side)
+
+    for a, members_a in enumerate(clusters):
+        if 2 <= members_a.size <= max_size:
+            block = adjacency[members_a][:, members_a].toarray()
+            unsplit = (
+                block.sum() / two_m - (sigma_tot[a] / two_m) ** 2
+            )
+            consider(members_a, None, unsplit)
+        for b in range(a + 1, partition.c):
+            members_b = clusters[b]
+            size = members_a.size + members_b.size
+            if size < 2 or size > max_size:
+                continue
+            members = np.concatenate([members_a, members_b])
+            current_side = np.zeros(size, dtype=bool)
+            current_side[: members_a.size] = True
+            block = adjacency[members][:, members].toarray()
+            in_a = block[: members_a.size, : members_a.size].sum()
+            in_b = block[members_a.size :, members_a.size :].sum()
+            current = (in_a + in_b) / two_m - (
+                sigma_tot[a] ** 2 + sigma_tot[b] ** 2
+            ) / (two_m * two_m)
+            consider(members, current_side, current)
+
+    if best_recut is None:
+        return None
+    members, side = best_recut
+    labels = partition.assignment.copy()
+    labels[members[side]] = partition.c
+    labels[members[~side]] = partition.c + 1
+    return Partition.from_labels(labels)
 
 
 def canonical_edges_by_unique(n, edges):

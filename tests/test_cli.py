@@ -186,6 +186,14 @@ class TestGenerate:
         assert header[1] == "1000"
         assert len(labels.read_text().splitlines()) == 1000
 
+    def test_infinite_edge_factor_is_an_error(self, tmp_path, capsys):
+        code = run(
+            "generate", "--nodes", 100, "--edge-factor", "inf",
+            "--output", tmp_path / "synth.hgr",
+        )
+        assert code == 1
+        assert "error: edge_factor" in capsys.readouterr().err
+
     def test_roundtrips_through_cluster(self, tmp_path):
         out = tmp_path / "synth.hgr"
         labels = tmp_path / "synth.labels"

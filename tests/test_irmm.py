@@ -235,6 +235,7 @@ class TestConfig:
             {"alpha": 1.0},
             {"threshold": 0.0},
             {"max_iters": 0},
+            {"threshold": float("nan")},
         ],
     )
     def test_invalid_configs(self, kwargs):

@@ -20,17 +20,22 @@ from hypermod import (
     modularity,
     preprocess,
 )
-from hypermod.louvain import _local_moving
 
 from conftest import random_hypergraph
 from oracles import (
     local_moving_reference,
     max_modularity_exhaustive,
+    move_node,
+    recut_all_pairs,
     same_clustering,
 )
 
-# The package re-exports the function ``modularity`` under the module's name.
-SHORT_ROW = importlib.import_module("hypermod.modularity").SHORT_ROW
+# The package re-exports the functions ``modularity`` and ``louvain`` under
+# their modules' names.
+modularity_module = importlib.import_module("hypermod.modularity")
+SHORT_ROW = modularity_module.SHORT_ROW
+MIN_GAIN = modularity_module.MIN_GAIN
+louvain_module = importlib.import_module("hypermod.louvain")
 
 
 def small_random_hypergraph(rng):
@@ -206,8 +211,8 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def run_both(graph, init=None, order=None, min_gain=1e-9, pre_moves=()):
-    """Run ``_local_moving`` and the vectorized reference on twin contexts.
+def run_both(graph, init=None, order=None, pre_moves=()):
+    """Run ``local_moving`` and the vectorized reference on twin contexts.
 
     ``pre_moves`` are (node, cluster) moves applied to both contexts first,
     e.g. to leave an empty cluster behind. Asserts that the move counts and
@@ -217,18 +222,18 @@ def run_both(graph, init=None, order=None, min_gain=1e-9, pre_moves=()):
     ours, ref = ModularityContext(graph, init), ModularityContext(graph, init)
     for ctx in (ours, ref):
         for node, to in pre_moves:
-            ctx.move(node, to)
+            move_node(ctx, node, to)
     into_empty = []
     move = ours.move
 
-    def recording_move(node, to, **kwargs):
+    def recording_move(node, to, s_frm, s_to):
         into_empty.append(bool(ours.sizes[to] == 0))
-        move(node, to, **kwargs)
+        move(node, to, s_frm, s_to)
 
     ours.move = recording_move
     order = np.arange(graph.n) if order is None else order
-    got = _local_moving(ours, order, min_gain)
-    want = local_moving_reference(ref, order, min_gain)
+    got = ours.local_moving(order)
+    want = local_moving_reference(ref, order, MIN_GAIN)
     assert got == want
     for attr in ("assignment", "sigma_tot", "sigma_in", "sizes"):
         assert same_bits(getattr(ours, attr), getattr(ref, attr)), attr
@@ -399,3 +404,60 @@ class TestLocalMovingMatchesReference:
         assert (row_lengths(graph)[0] > SHORT_ROW) == (entries > SHORT_ROW)
         ctx, into_empty = run_both(graph, init=init, pre_moves=pre_moves)
         assert into_empty[0]
+
+
+def sparse_small_graph(rng):
+    """Largest component of a random hypergraph with 2- and 3-node
+    hyperedges at about one per node, so that many cluster pairs share no
+    edge; every node of the reduction has a positive degree."""
+    n = int(rng.integers(8, 31))
+    m = int(rng.integers(n // 2, 3 * n // 2))
+    edges = [rng.choice(n, size=int(rng.integers(2, 4)), replace=False)
+             for _ in range(m)]
+    weights = rng.uniform(0.5, 3.0, size=m) if rng.random() < 0.5 else None
+    return degree_preserving_reduce(preprocess(Hypergraph(n, edges, weights)))
+
+
+class TestRecutSmallClusters:
+    """The recut tries a cluster alone and with each adjacent cluster; the
+    reference also tries every non-adjacent pair."""
+
+    def test_adjacent_pairs_match_all_pairs(self):
+        # Random partitions into clusters of a few nodes, which a recut
+        # almost always improves, and Louvain's own, which it leaves alone.
+        rng = np.random.default_rng(71)
+        recut = louvain_module._recut_small_clusters
+        improved = 0
+        for _ in range(12):
+            graph = sparse_small_graph(rng)
+            assert graph.node_degrees.min() > 0
+            parts = [louvain(graph).partition]
+            for _ in range(3):
+                c = int(rng.integers(max(2, graph.n // 5), graph.n // 2 + 1))
+                parts.append(Partition.from_labels(rng.integers(0, c, size=graph.n)))
+            for part in parts:
+                got = recut(graph, part)
+                want = recut_all_pairs(graph, part, MIN_GAIN)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got == want
+                    improved += 1
+        assert improved > 0
+
+    def test_cycle_of_pairs_bisects_only_adjacent_candidates(self, monkeypatch):
+        n = 400
+        graph = unit_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        bisect = louvain_module._best_bisection
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            if calls > n:
+                raise AssertionError(f"more than {n} bisections")
+            return bisect(*args)
+
+        monkeypatch.setattr(louvain_module, "_best_bisection", counting)
+        louvain_module._recut_small_clusters(graph, Partition(np.arange(n) // 2))
+        # 200 clusters alone plus 200 adjacent pairs around the cycle.
+        assert calls == n

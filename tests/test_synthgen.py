@@ -100,3 +100,8 @@ class TestValidation:
     def test_classes_bounds(self):
         with pytest.raises(ValueError, match="classes"):
             generate(GenConfig(n=20, classes=1))
+
+    @pytest.mark.parametrize("factor", [0.0, float("inf"), float("nan")])
+    def test_edge_factor_finite_and_positive(self, factor):
+        with pytest.raises(ValueError, match="edge_factor"):
+            generate(GenConfig(n=20, edge_factor=factor))
