@@ -35,7 +35,7 @@ print("modularity:    ", round(result.modularity, 4))
 truth = Partition([0, 0, 0, 0, 1, 1, 1, 1])
 print("symmetric F1 vs planted groups:", symmetric_f1(result.partition, truth))
 
-# The levels record one partition per aggregation level.
+# The levels record one partition per aggregation level that moved a node.
 for depth, level in enumerate(result.levels):
     print(f"level {depth}: {level.assignment} (c={level.c})")
 

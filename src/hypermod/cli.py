@@ -23,7 +23,6 @@ from .evaluate import cut_stats, symmetric_f1
 from .hypergraph import (
     FormatError,
     load,
-    load_labels,
     preprocess,
     read_label_rows,
     write_hmetis,
@@ -65,14 +64,29 @@ def _write_json(path, payload):
     )
 
 
-def _truth_for(g, labels_all):
-    """Ground-truth partition restricted to the retained (labeled) nodes."""
-    ids = g.node_labels
-    if ids.min() < 1 or ids.max() > labels_all.size:
-        raise ValueError(
-            "label file is shorter than the hypergraph's node numbering"
-        )
-    return Partition.from_labels(labels_all[ids - 1])
+def _read_clustering(path):
+    """Read either a `node<TAB>cluster` file or a label-per-line file.
+
+    Returns the node ids, ascending, and their labels as arrays;
+    label-per-line files number their nodes 1..n.
+    """
+    rows = read_label_rows(path, widths=(1, 2))
+    if rows.shape[1] == 1:
+        return np.arange(1, rows.shape[0] + 1), rows[:, 0]
+    nodes, first, counts = np.unique(rows[:, 0], return_index=True, return_counts=True)
+    if counts.max() > 1:
+        raise FormatError(f"{path}: duplicate node {nodes[counts > 1][0]}")
+    return nodes, rows[first, 1]
+
+
+def _partition_at(path, clustering, ids):
+    """The partition that a clustering read from ``path`` gives ``ids``."""
+    nodes, labels = clustering
+    at = np.minimum(np.searchsorted(nodes, ids), nodes.size - 1)
+    missing = ids[nodes[at] != ids]
+    if missing.size:
+        raise ValueError(f"{path} does not cover node {missing[0]}")
+    return Partition.from_labels(labels[at])
 
 
 def cmd_cluster(args) -> int:
@@ -86,6 +100,9 @@ def cmd_cluster(args) -> int:
     )
     if args.trace_out and args.method != "irmm":
         raise ValueError("--trace-out is only meaningful with --method irmm")
+    truth = None
+    if args.truth:
+        truth = _partition_at(args.truth, _read_clustering(args.truth), g.node_labels)
 
     run = run_method(g, args.method, louvain_cfg, irmm_cfg)
     partition = run.partition
@@ -94,9 +111,7 @@ def cmd_cluster(args) -> int:
         partition = agglomerate(run.graph, partition, args.k)
         q = modularity(run.graph, partition)
 
-    f1 = None
-    if args.truth:
-        f1 = symmetric_f1(partition, _truth_for(g, load_labels(args.truth)))
+    f1 = None if truth is None else symmetric_f1(partition, truth)
 
     stem = Path(args.input)
     partition_out = args.partition_out or stem.with_suffix(".partition.tsv")
@@ -122,45 +137,20 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _read_clustering(path):
-    """Read either a `node<TAB>cluster` file or a label-per-line file.
-
-    Returns a dict from node id to cluster label; label-per-line files
-    number their nodes 1..n.
-    """
-    rows = read_label_rows(path, widths=(1, 2))
-    if rows.shape[1] == 1:
-        return dict(enumerate(rows[:, 0].tolist(), start=1))
-    nodes, counts = np.unique(rows[:, 0], return_counts=True)
-    if counts.max() > 1:
-        raise FormatError(f"{path}: duplicate node {nodes[counts > 1][0]}")
-    return dict(rows.tolist())
-
-
-def _aligned_partitions(map_a, map_b):
-    nodes_a, nodes_b = set(map_a), set(map_b)
-    if nodes_a <= nodes_b:
-        common = sorted(nodes_a)
-    elif nodes_b <= nodes_a:
-        common = sorted(nodes_b)
-    else:
-        raise ValueError(
-            "node sets do not align: neither clustering covers the other"
-        )
-    part_a = Partition.from_labels([map_a[v] for v in common])
-    part_b = Partition.from_labels([map_b[v] for v in common])
-    return part_a, part_b, len(common)
-
-
 def cmd_eval(args) -> int:
-    pred, truth, nodes = _aligned_partitions(
-        _read_clustering(args.pred), _read_clustering(args.truth)
-    )
+    pred, truth = _read_clustering(args.pred), _read_clustering(args.truth)
+    # Align on the smaller node set, which the other must cover.
+    nodes = pred[0] if pred[0].size <= truth[0].size else truth[0]
+    try:
+        pred = _partition_at(args.pred, pred, nodes)
+        truth = _partition_at(args.truth, truth, nodes)
+    except ValueError as exc:
+        raise ValueError(f"node sets do not align: {exc}") from None
     payload = {
         "f1": symmetric_f1(pred, truth),
         "pred_clusters": pred.c,
         "truth_clusters": truth.c,
-        "nodes": nodes,
+        "nodes": nodes.size,
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.output:
@@ -187,12 +177,10 @@ def cmd_generate(args) -> int:
 
 def cmd_stats(args) -> int:
     g = preprocess(load(args.input))
-    mapping = _read_clustering(args.partition)
-    try:
-        labels = [mapping[int(v)] for v in g.node_labels]
-    except KeyError as exc:
-        raise ValueError(f"partition file does not cover node {exc}") from None
-    stats = cut_stats(g, Partition.from_labels(labels))
+    partition = _partition_at(
+        args.partition, _read_clustering(args.partition), g.node_labels
+    )
+    stats = cut_stats(g, partition)
     header = "\t".join(
         f"({i / 10:.1f},{(i + 1) / 10:.1f}]" for i in range(10)
     )
@@ -210,7 +198,7 @@ def bench_sizes(min_n, max_n, step):
     return list(range(min_n, max_n + 1, step))
 
 
-def bench_run(sizes, seed, shuffle=False):
+def bench_run(sizes, seed):
     """Generate, preprocess and cluster one hypergraph per size.
 
     Returns (n, cpu_seconds) pairs where the time covers the hlouvain
@@ -221,7 +209,7 @@ def bench_run(sizes, seed, shuffle=False):
         g, _ = generate(GenConfig(n=n, seed=seed))
         g = preprocess(g)
         start = time.process_time()
-        louvain(degree_preserving_reduce(g), LouvainConfig(seed=seed, shuffle=shuffle))
+        louvain(degree_preserving_reduce(g), LouvainConfig(seed=seed))
         elapsed = time.process_time() - start
         rows.append((n, elapsed))
         print(f"n={n}: {elapsed:.3f}s cpu", file=sys.stderr)
@@ -255,8 +243,9 @@ def build_parser():
     p.add_argument("--shuffle", action="store_true",
                    help="visit nodes in seeded random order")
     p.add_argument("--k", type=int, default=None,
-                   help="merge the result down to exactly k clusters")
-    p.add_argument("--truth", default=None, help="label file for an F1 score")
+                   help="merge the result down to exactly k clusters (irmm: on the"
+                   " final round's reweighted graph, where modularity is measured)")
+    p.add_argument("--truth", default=None, help="label or partition file for F1")
     p.add_argument("--partition-out", default=None)
     p.add_argument("--metrics-out", default=None)
     p.add_argument("--trace-out", default=None,

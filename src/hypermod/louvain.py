@@ -5,7 +5,8 @@ nodes, moving each to the neighboring cluster with the largest positive
 modularity gain (ties to the lowest cluster id, zero-gain moves rejected).
 Phase two collapses clusters into super-nodes, keeping intra-cluster
 weight as self-loops, and repeats on the aggregated graph until a pass
-accepts no move.
+accepts no move. The hierarchy is rerun from its flattened partition only
+when a coarse level moved a node.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ class ClusterResult:
     modularity: Q of ``partition`` on ``graph``, recomputed from scratch.
     graph: the reduced graph that was clustered (for irmm, the final
     round's degree-preserving reduction).
-    levels: per-level partitions, finest first; each level partitions the
-    previous level's clusters, and ``flatten(levels) == partition``.
+    levels: one partition per level that moved a node, finest first (the
+    singletons or a recut alone when none moved); each level partitions
+    the previous level's clusters, and ``flatten(levels) == partition``.
     iterations/converged/trace: reweighting rounds run, whether the
     weights settled, and one ``IrmmIteration`` per round (a single
     Louvain run reports 1, True and an empty trace).
@@ -197,61 +199,62 @@ def _one_hierarchy(graph, init, cfg, rng):
     """One full local-moving + aggregation hierarchy.
 
     ``init`` optionally seeds the first local-moving phase with an existing
-    partition of the fine graph. Returns the levels and the total number of
-    accepted moves.
+    partition of the fine graph. Returns one partition per level that
+    moved a node, finest first: empty when the first phase moves nothing.
     """
     levels: list[Partition] = []
     current = graph
-    total = 0
     for _ in range(MAX_PASSES):
         ctx = ModularityContext(current, init)
         init = None
         order = np.arange(current.n)
         if cfg.shuffle:
             rng.shuffle(order)
-        accepted = ctx.local_moving(order)
-        total += accepted
-        part = Partition.from_labels(ctx.assignment)
-        if accepted == 0:
-            if not levels:
-                levels.append(part)
+        if not ctx.local_moving(order):
             break
+        part = Partition.from_labels(ctx.assignment)
         levels.append(part)
         if part.c == current.n:
             break
         current = aggregate(current, part)
-    return levels, total
+    return levels
 
 
 def louvain(graph: ReducedGraph, config: LouvainConfig | None = None) -> ClusterResult:
     """Maximize modularity of ``graph``; the cluster count is discovered.
 
-    Hierarchies of local moving and aggregation are rerun from the
-    flattened result (nodes regain mobility that aggregation froze), and
-    at a full stall small clusters are tested for strictly improving
-    bisections, until nothing changes. Deterministic for a fixed config:
-    with shuffle off the sweeps visit nodes in ascending order, otherwise
-    in a permutation drawn from the seeded generator. The reported
-    modularity is recomputed from scratch on the input graph.
+    A hierarchy whose coarse levels moved is rerun from its flattened
+    result (nodes regain mobility that aggregation froze); at a full stall
+    small clusters are tested for strictly improving bisections, until
+    nothing changes. Deterministic for a fixed config: with shuffle off the
+    sweeps visit nodes in ascending order, otherwise in a permutation drawn
+    from the seeded generator. The reported modularity is recomputed from
+    scratch on the input graph.
     """
     cfg = config if config is not None else LouvainConfig()
     if graph.n == 0:
         raise ValueError("empty graph")
     if graph.total_weight_2m <= 0:
         raise ValueError("graph has no edge weight")
+    if cfg.seed < 0:
+        raise ValueError("seed must be non-negative")
 
     rng = np.random.default_rng(cfg.seed)
-    levels, _ = _one_hierarchy(graph, None, cfg, rng)
+    levels = _one_hierarchy(graph, None, cfg, rng) or [Partition(np.arange(graph.n))]
     for _ in range(MAX_PASSES):
-        flat = flatten(levels)
-        relevels, moves = _one_hierarchy(graph, flat, cfg, rng)
-        if moves:
-            levels = relevels
-            continue
-        recut = _recut_small_clusters(graph, flat)
+        # With one level, the hierarchy ended on a fine-level sweep that
+        # accepted no move. A rerun would start from that partition with the
+        # same sums up to rounding, and a context built from a partition has
+        # no empty cluster as a spare: it could only retry that sweep's moves.
+        if len(levels) > 1:
+            relevels = _one_hierarchy(graph, flatten(levels), cfg, rng)
+            if relevels:
+                levels = relevels
+                continue
+        recut = _recut_small_clusters(graph, flatten(levels))
         if recut is None:
             break
-        levels, _ = _one_hierarchy(graph, recut, cfg, rng)
+        levels = _one_hierarchy(graph, recut, cfg, rng) or [recut]
 
     flat = flatten(levels)
     return ClusterResult(flat, modularity(graph, flat), graph, levels)

@@ -24,7 +24,9 @@ def agglomerate(graph: ReducedGraph, partition: Partition, k: int) -> Partition:
 
     Ties go to the lexicographically smallest pair of current cluster ids.
     The result refines ``partition`` only by unions of whole clusters and
-    has dense ids.
+    has dense ids. The linkage is built once; a merge rescores only the
+    merged row and column, but still takes one argmax over all c² pairs,
+    so the whole merge is O(c³).
     """
     k = int(k)
     if k < 1:
@@ -36,27 +38,27 @@ def agglomerate(graph: ReducedGraph, partition: Partition, k: int) -> Partition:
     if k == partition.c:
         return Partition(partition.assignment)
 
-    # Cluster-level weights; the diagonal (intra weight) is never a merge
-    # candidate and is masked out below.
-    coarse = aggregate(graph, partition)
-    weight = coarse.to_dense()
-    sizes = partition.cluster_sizes.astype(np.float64).copy()
-    alive = np.ones(partition.c, dtype=bool)
+    weight = aggregate(graph, partition).to_dense()
+    sizes = partition.cluster_sizes.astype(np.float64)
     parent = np.arange(partition.c)
+    live = np.arange(partition.c)
+    # Pair (a, b) is scored at [a, b] with a < b; the diagonal (intra
+    # weight) and the lower triangle are never merge candidates.
+    linkage = weight / np.outer(sizes, sizes)
+    linkage[np.tril_indices_from(linkage)] = -np.inf
 
     for _ in range(partition.c - k):
-        linkage = weight / np.outer(sizes, sizes)
-        np.fill_diagonal(linkage, -np.inf)
-        linkage[~alive, :] = -np.inf
-        linkage[:, ~alive] = -np.inf
         # Row-major argmax picks the lexicographically smallest (a, b) among
-        # ties; restricting to a < b keeps merged clusters on the lower id.
-        linkage[np.tril_indices_from(linkage)] = -np.inf
+        # ties, and merged clusters keep the lower id.
         a, b = np.unravel_index(int(np.argmax(linkage)), linkage.shape)
         weight[a, :] += weight[b, :]
         weight[:, a] += weight[:, b]
         sizes[a] += sizes[b]
-        alive[b] = False
         parent[parent == b] = a
+        live = live[live != b]
+        linkage[b, :] = linkage[:, b] = -np.inf
+        above, below = live[live > a], live[live < a]
+        linkage[a, above] = weight[a, above] / (sizes[a] * sizes[above])
+        linkage[below, a] = weight[below, a] / (sizes[below] * sizes[a])
 
     return Partition.from_labels(parent[partition.assignment])

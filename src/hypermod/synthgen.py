@@ -77,6 +77,8 @@ def generate(config: GenConfig) -> tuple[Hypergraph, Partition]:
         raise ValueError("homophily_deviation must lie in [0, 1]")
     if not 0 < config.edge_factor < np.inf:
         raise ValueError("edge_factor must be finite and positive")
+    if config.seed < 0:
+        raise ValueError("seed must be non-negative")
 
     buckets = (
         config.size_buckets

@@ -349,6 +349,95 @@ def recut_all_pairs(graph, partition, min_gain, max_size=12):
     return Partition.from_labels(labels)
 
 
+def _one_hierarchy_counting_moves(graph, init, cfg, rng):
+    """One local-moving + aggregation hierarchy that also returns the
+    total number of accepted moves, keeping a level that moved nothing
+    when it is the only one."""
+    from hypermod.louvain import MAX_PASSES, aggregate
+    from hypermod.modularity import ModularityContext, Partition
+
+    levels = []
+    current = graph
+    total = 0
+    for _ in range(MAX_PASSES):
+        ctx = ModularityContext(current, init)
+        init = None
+        order = np.arange(current.n)
+        if cfg.shuffle:
+            rng.shuffle(order)
+        accepted = ctx.local_moving(order)
+        total += accepted
+        part = Partition.from_labels(ctx.assignment)
+        if accepted == 0:
+            if not levels:
+                levels.append(part)
+            break
+        levels.append(part)
+        if part.c == current.n:
+            break
+        current = aggregate(current, part)
+    return levels, total
+
+
+def louvain_rerun_always(graph, config=None):
+    """Louvain that reruns every hierarchy from its flattened result, also
+    when only the fine level moved, before trying a recut."""
+    from hypermod.louvain import (
+        MAX_PASSES,
+        ClusterResult,
+        LouvainConfig,
+        _recut_small_clusters,
+        flatten,
+    )
+    from hypermod.modularity import modularity
+
+    cfg = config if config is not None else LouvainConfig()
+    rng = np.random.default_rng(cfg.seed)
+    levels, _ = _one_hierarchy_counting_moves(graph, None, cfg, rng)
+    for _ in range(MAX_PASSES):
+        flat = flatten(levels)
+        relevels, moves = _one_hierarchy_counting_moves(graph, flat, cfg, rng)
+        if moves:
+            levels = relevels
+            continue
+        recut = _recut_small_clusters(graph, flat)
+        if recut is None:
+            break
+        levels, _ = _one_hierarchy_counting_moves(graph, recut, cfg, rng)
+
+    flat = flatten(levels)
+    return ClusterResult(flat, modularity(graph, flat), graph, levels)
+
+
+def agglomerate_rebuild_linkage(weight, sizes, k):
+    """Average-linkage merging down to k clusters that rebuilds the whole
+    c x c linkage for every merge. ``weight`` is the dense cluster-level
+    weight matrix and ``sizes`` the cluster sizes; returns each cluster's
+    final representative (the lowest id it was merged into)."""
+    weight = np.array(weight, dtype=np.float64)
+    sizes = np.asarray(sizes).astype(np.float64).copy()
+    c = sizes.size
+    alive = np.ones(c, dtype=bool)
+    parent = np.arange(c)
+
+    for _ in range(c - k):
+        linkage = weight / np.outer(sizes, sizes)
+        np.fill_diagonal(linkage, -np.inf)
+        linkage[~alive, :] = -np.inf
+        linkage[:, ~alive] = -np.inf
+        # Row-major argmax picks the lexicographically smallest (a, b) among
+        # ties; restricting to a < b keeps merged clusters on the lower id.
+        linkage[np.tril_indices_from(linkage)] = -np.inf
+        a, b = np.unravel_index(int(np.argmax(linkage)), linkage.shape)
+        weight[a, :] += weight[b, :]
+        weight[:, a] += weight[:, b]
+        sizes[a] += sizes[b]
+        alive[b] = False
+        parent[parent == b] = a
+
+    return parent
+
+
 def canonical_edges_by_unique(n, edges):
     """Each hyperedge's sorted distinct nodes by one np.unique per edge,
     with the constructor's errors naming the first offending hyperedge."""

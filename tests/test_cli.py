@@ -94,6 +94,49 @@ class TestCluster:
             )
         assert outs[0] == outs[1]
 
+    def test_truth_as_node_cluster_file(self, synth_files, tmp_path):
+        # The same ground truth as a label-per-line file and as
+        # node<TAB>cluster rows in descending node order.
+        hgr, labels = synth_files
+        values = labels.read_text().split()
+        pairs = tmp_path / "truth.tsv"
+        pairs.write_text(
+            "".join(f"{i}\t{v}\n" for i, v in reversed(list(enumerate(values, 1))))
+        )
+        f1 = []
+        for truth in (labels, pairs):
+            metrics = tmp_path / "m.json"
+            assert run(
+                "cluster", "--input", hgr, "--method", "hlouvain",
+                "--truth", truth, "--partition-out", tmp_path / "p.tsv",
+                "--metrics-out", metrics,
+            ) == 0
+            f1.append(json.loads(metrics.read_text())["f1"])
+        assert f1[0] is not None
+        assert f1[0] == f1[1]
+
+    def test_truth_must_cover_nodes(self, synth_files, tmp_path, capsys):
+        hgr, _ = synth_files
+        truth = tmp_path / "truth.txt"
+        truth.write_text("0\n1\n")
+        code = run(
+            "cluster", "--input", hgr, "--method", "hlouvain", "--truth", truth,
+            "--partition-out", tmp_path / "p.tsv",
+            "--metrics-out", tmp_path / "m.json",
+        )
+        assert code == 1
+        assert f"{truth} does not cover node 3" in capsys.readouterr().err
+
+    def test_negative_seed_is_an_error(self, synth_files, tmp_path, capsys):
+        hgr, _ = synth_files
+        code = run(
+            "cluster", "--input", hgr, "--method", "hlouvain", "--seed", -1,
+            "--partition-out", tmp_path / "p.tsv",
+            "--metrics-out", tmp_path / "m.json",
+        )
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
+
     def test_trace_requires_irmm(self, synth_files, tmp_path, capsys):
         hgr, _ = synth_files
         code = run(
@@ -155,6 +198,13 @@ class TestEval:
         assert code == 1
         assert "align" in capsys.readouterr().err
 
+    def test_duplicate_node_is_an_error(self, tmp_path, capsys):
+        pred = tmp_path / "p.tsv"
+        pred.write_text("3\t0\n2\t0\n3\t1\n2\t1\n")
+        code = run("eval", "--pred", pred, "--truth", pred)
+        assert code == 1
+        assert f"{pred}: duplicate node 2" in capsys.readouterr().err
+
     def test_label_beyond_int64_is_an_error(self, tmp_path, capsys):
         pred = tmp_path / "pred.txt"
         pred.write_text("1\n2\n99999999999999999999\n")
@@ -193,6 +243,14 @@ class TestGenerate:
         )
         assert code == 1
         assert "error: edge_factor" in capsys.readouterr().err
+
+    def test_negative_seed_is_an_error(self, tmp_path, capsys):
+        code = run(
+            "generate", "--nodes", 100, "--seed", -1,
+            "--output", tmp_path / "synth.hgr",
+        )
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
 
     def test_roundtrips_through_cluster(self, tmp_path):
         out = tmp_path / "synth.hgr"
@@ -255,6 +313,12 @@ class TestBench:
         rows = [line.split("\t") for line in lines[1:]]
         assert [int(r[0]) for r in rows] == [40, 60, 80]
         assert all(float(r[1]) >= 0 for r in rows)
+
+    def test_negative_seed_is_an_error(self, tmp_path, capsys):
+        code = run("bench", "--min", 40, "--max", 40, "--seed", -1,
+                   "--output", tmp_path / "b.tsv")
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
 
     def test_invalid_range_rejected(self, tmp_path, capsys):
         code = run("bench", "--min", 100, "--max", 50, "--step", 10,

@@ -24,6 +24,7 @@ from hypermod import (
 from conftest import random_hypergraph
 from oracles import (
     local_moving_reference,
+    louvain_rerun_always,
     max_modularity_exhaustive,
     move_node,
     recut_all_pairs,
@@ -121,12 +122,65 @@ class TestLouvain:
         assert positives > 0
         assert hits / positives >= 0.95
 
+    def test_negative_seed_rejected(self):
+        rg = degree_preserving_reduce(Hypergraph(3, [[0, 1], [1, 2]]))
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            louvain(rg, LouvainConfig(seed=-1))
+
     def test_empty_graph_rejected(self):
         g = Hypergraph(3, [[0, 1]])
         rg = degree_preserving_reduce(g)
         rg.adjacency = rg.adjacency[:0, :0].tocsr()  # degenerate shape
         with pytest.raises(ValueError):
             louvain(type(rg)(rg.adjacency))
+
+
+class TestRerunOnlyAfterCoarseMoves:
+    """A hierarchy is rerun from its flattened partition only when a coarse
+    level moved; the reference reruns every hierarchy."""
+
+    def test_matches_rerunning_every_hierarchy(self, monkeypatch):
+        recut = louvain_module._recut_small_clusters
+        recuts = 0
+
+        def counting(graph, partition):
+            nonlocal recuts
+            result = recut(graph, partition)
+            recuts += result is not None
+            return result
+
+        monkeypatch.setattr(louvain_module, "_recut_small_clusters", counting)
+        rng = np.random.default_rng(83)
+        multi_level = recut_wins = 0
+        for _ in range(200):
+            graph = sparse_small_graph(rng, n_max=16)
+            recuts_before = recuts
+            got = louvain(graph)
+            recut_wins += recuts > recuts_before
+            want = louvain_rerun_always(graph)
+            assert got.partition == want.partition
+            assert got.levels == want.levels
+            assert same_bits(np.float64(got.modularity), np.float64(want.modularity))
+            multi_level += len(got.levels) > 1
+        assert recut_wins > 0
+        assert multi_level > 0
+
+    def test_one_fine_level_sweep_without_coarse_moves(self, monkeypatch):
+        # Level 0 forms the two triangles and level 1 moves nothing, so the
+        # hierarchy is not rerun.
+        edges = [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [2, 3]]
+        rg = degree_preserving_reduce(Hypergraph(6, edges))
+        local_moving = ModularityContext.local_moving
+        sizes = []
+
+        def recording(ctx, order):
+            sizes.append(ctx.assignment.size)
+            return local_moving(ctx, order)
+
+        monkeypatch.setattr(ModularityContext, "local_moving", recording)
+        res = louvain(rg)
+        assert sizes.count(rg.n) == 1
+        assert len(res.levels) == 1
 
 
 class TestAggregate:
@@ -406,11 +460,11 @@ class TestLocalMovingMatchesReference:
         assert into_empty[0]
 
 
-def sparse_small_graph(rng):
+def sparse_small_graph(rng, n_max=30):
     """Largest component of a random hypergraph with 2- and 3-node
     hyperedges at about one per node, so that many cluster pairs share no
     edge; every node of the reduction has a positive degree."""
-    n = int(rng.integers(8, 31))
+    n = int(rng.integers(8, n_max + 1))
     m = int(rng.integers(n // 2, 3 * n // 2))
     edges = [rng.choice(n, size=int(rng.integers(2, 4)), replace=False)
              for _ in range(m)]

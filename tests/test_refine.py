@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -5,17 +7,33 @@ from scipy import sparse
 from hypermod import (
     Partition,
     ReducedGraph,
+    aggregate,
     agglomerate,
     degree_preserving_reduce,
     louvain,
 )
 
 from conftest import random_hypergraph
-from oracles import same_clustering
+from oracles import agglomerate_rebuild_linkage, same_clustering
 
 
 def graph_from_dense(dense):
     return ReducedGraph(sparse.csr_matrix(np.asarray(dense, dtype=float)))
+
+
+def symmetric_graph(n, rows, cols, weights):
+    adjacency = sparse.coo_matrix((weights, (rows, cols)), shape=(n, n))
+    return ReducedGraph((adjacency + adjacency.T).tocsr())
+
+
+def ring_of_triangles(c):
+    """c unit-weight triangles, triangle i joined to triangle i + 1 (mod c)
+    by one edge; the partition puts each triangle in its own cluster."""
+    base = 3 * np.arange(c)
+    rows = np.concatenate([base, base, base + 1, base + 2])
+    cols = np.concatenate([base + 1, base + 2, base + 2, (base + 3) % (3 * c)])
+    graph = symmetric_graph(3 * c, rows, cols, np.ones(rows.size))
+    return graph, Partition(np.arange(3 * c) // 3)
 
 
 def three_cluster_example():
@@ -96,3 +114,41 @@ class TestAgglomerate:
         a = agglomerate(rg, res.partition, k)
         b = agglomerate(rg, res.partition, k)
         assert a == b
+
+    def test_matches_rebuilding_the_linkage(self):
+        # Clusters of one or two nodes and integer weights on half the
+        # trials make many pairs tie, at zero and above.
+        rng = np.random.default_rng(31)
+        for trial in range(30):
+            c = int(rng.integers(2, 201))
+            n = c + int(rng.integers(0, c + 1))
+            labels = np.concatenate([np.arange(c), rng.integers(0, c, n - c)])
+            rng.shuffle(labels)
+            m = int(rng.integers(c, 4 * c))
+            rows, cols = rng.integers(0, n, m), rng.integers(0, n, m)
+            keep = rows != cols
+            if trial % 2:
+                weights = rng.integers(1, 3, m).astype(float)
+            else:
+                weights = rng.uniform(0.5, 3.0, m)
+            graph = symmetric_graph(n, rows[keep], cols[keep], weights[keep])
+            partition = Partition.from_labels(labels)
+            weight = aggregate(graph, partition).to_dense()
+            for k in sorted({1, max(1, c // 2), c - 1}):
+                parent = agglomerate_rebuild_linkage(
+                    weight, partition.cluster_sizes, k
+                )
+                want = Partition.from_labels(parent[partition.assignment])
+                assert agglomerate(graph, partition, k) == want
+
+    def test_many_clusters(self):
+        # Rebuilding the c x c linkage on every merge, as the reference
+        # does, takes about 11 s CPU at this size on a 2-core x86-64 VM.
+        graph, partition = ring_of_triangles(1000)
+        start = time.process_time()
+        out = agglomerate(graph, partition, 2)
+        elapsed = time.process_time() - start
+        assert out.c == 2
+        for members in partition.clusters():
+            assert np.unique(out.assignment[members]).size == 1
+        assert elapsed < 3.0

@@ -101,6 +101,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="classes"):
             generate(GenConfig(n=20, classes=1))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            generate(GenConfig(n=20, seed=-1))
+
     @pytest.mark.parametrize("factor", [0.0, float("inf"), float("nan")])
     def test_edge_factor_finite_and_positive(self, factor):
         with pytest.raises(ValueError, match="edge_factor"):
