@@ -90,7 +90,9 @@ def _partition_at(path, clustering, ids):
 
 
 def cmd_cluster(args) -> int:
-    g = preprocess(load(args.input))
+    # Flags are checked before the input is read.
+    if args.trace_out and args.method != "irmm":
+        raise ValueError("--trace-out is only meaningful with --method irmm")
     louvain_cfg = LouvainConfig(seed=args.seed, shuffle=args.shuffle)
     irmm_cfg = IrmmConfig(
         alpha=args.alpha,
@@ -98,8 +100,9 @@ def cmd_cluster(args) -> int:
         max_iters=args.max_iters,
         louvain=louvain_cfg,
     )
-    if args.trace_out and args.method != "irmm":
-        raise ValueError("--trace-out is only meaningful with --method irmm")
+    if args.method == "irmm":
+        irmm_cfg.validate()
+    g = preprocess(load(args.input))
     truth = None
     if args.truth:
         truth = _partition_at(args.truth, _read_clustering(args.truth), g.node_labels)

@@ -102,34 +102,29 @@ def aggregate(graph: ReducedGraph, partition: Partition) -> ReducedGraph:
 _RECUT_SIZE_LIMIT = 12
 
 
-def _best_bisection(block, k, two_m, skip_side):
+def _best_bisection(block, k, two_m, current):
     """Exhaustively score all two-way splits of one node subset.
 
     ``block`` is the dense adjacency among the subset, ``k`` its degrees.
-    Returns (score, side) for the best bisection, where score is the
-    subset's contribution to modularity: sum of sigma_in/2m - (sigma_tot/2m)^2
-    over the two parts. ``skip_side``, unless None, marks a split to ignore.
+    Row ``bits`` of the 0/1 side matrix puts node i on the first side when
+    bit i is set; the highest-index node is always on the second side, so
+    each split appears once and row 0 leaves the subset whole. A split
+    scores the subset's contribution to modularity: sum of
+    sigma_in/2m - (sigma_tot/2m)^2 over the two parts. Returns (gain, side)
+    for the best split other than row 0, where gain is its score minus
+    that of row ``current``.
     """
     size = k.size
-    shifts = np.arange(size)
-    best_score = -np.inf
-    best_side = None
-    for bits in range(1, 1 << (size - 1)):
-        # Highest-index node pinned to one side: each split appears once.
-        side = ((bits >> shifts) & 1).astype(bool)
-        if skip_side is not None and (
-            np.array_equal(side, skip_side) or np.array_equal(~side, skip_side)
-        ):
-            continue
-        in1 = block[np.ix_(side, side)].sum()
-        in2 = block[np.ix_(~side, ~side)].sum()
-        tot1 = k[side].sum()
-        tot2 = k[~side].sum()
-        score = (in1 + in2) / two_m - (tot1 * tot1 + tot2 * tot2) / (two_m * two_m)
-        if score > best_score:
-            best_score = score
-            best_side = side.copy()
-    return best_score, best_side
+    rows = np.arange(1 << (size - 1))
+    first = ((rows[:, None] >> np.arange(size)) & 1).astype(float)
+    second = 1.0 - first
+    in1 = ((first @ block) * first).sum(axis=1)
+    in2 = ((second @ block) * second).sum(axis=1)
+    tot1 = first @ k
+    tot2 = second @ k
+    scores = (in1 + in2) / two_m - (tot1 * tot1 + tot2 * tot2) / (two_m * two_m)
+    best = 1 + int(np.argmax(scores[1:]))
+    return scores[best] - scores[current], first[best].astype(bool)
 
 
 def _recut_small_clusters(graph, partition):
@@ -151,10 +146,7 @@ def _recut_small_clusters(graph, partition):
     g = g_b − 2xy < g_b. So g is below a gain the loop tries.
     """
     adjacency = graph.adjacency
-    node_degrees = graph.node_degrees
-    two_m = graph.total_weight_2m
     clusters = partition.clusters()
-    sigma_tot = np.array([node_degrees[c].sum() for c in clusters])
     # Only clusters below the limit can take part in a pair.
     labels = partition.assignment
     small = partition.cluster_sizes[labels] < _RECUT_SIZE_LIMIT
@@ -162,29 +154,20 @@ def _recut_small_clusters(graph, partition):
 
     best_gain, best_recut = MIN_GAIN, None
     for a, members_a in enumerate(clusters):
-        size_a = members_a.size
         row = between.indices[between.indptr[a] : between.indptr[a + 1]]
         for b in [a] + np.sort(row[row > a]).tolist():
-            size = size_a if b == a else size_a + clusters[b].size
-            if not 2 <= size <= _RECUT_SIZE_LIMIT:
+            # a's nodes come first, so row 0 (a alone) or the row with
+            # a's bits set (a pair) is the current configuration.
+            members = members_a if b == a else np.concatenate([members_a, clusters[b]])
+            if not 2 <= members.size <= _RECUT_SIZE_LIMIT:
                 continue
-            members = np.concatenate([members_a, clusters[b]]) if b != a else members_a
+            current = 0 if b == a else (1 << members_a.size) - 1
             block = adjacency[members][:, members].toarray()
-            if b == a:
-                current_side = None
-                current = block.sum() / two_m - (sigma_tot[a] / two_m) ** 2
-            else:
-                current_side = np.arange(size) < size_a
-                in_a = block[:size_a, :size_a].sum()
-                in_b = block[size_a:, size_a:].sum()
-                current = (in_a + in_b) / two_m - (
-                    sigma_tot[a] ** 2 + sigma_tot[b] ** 2
-                ) / (two_m * two_m)
-            score, side = _best_bisection(
-                block, node_degrees[members], two_m, current_side
+            gain, side = _best_bisection(
+                block, graph.node_degrees[members], graph.total_weight_2m, current
             )
-            if side is not None and score - current > best_gain:
-                best_gain, best_recut = score - current, (members, side)
+            if gain > best_gain:
+                best_gain, best_recut = gain, (members, side)
 
     if best_recut is None:
         return None

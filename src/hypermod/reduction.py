@@ -69,10 +69,10 @@ class ReducedGraph:
     def self_loops(self):
         return self.adjacency.diagonal()
 
-    def to_dense(self, limit: int = DENSE_NODE_LIMIT) -> np.ndarray:
-        if self.n > limit:
+    def to_dense(self) -> np.ndarray:
+        if self.n > DENSE_NODE_LIMIT:
             raise ValueError(
-                f"refusing dense form for {self.n} nodes (limit {limit})"
+                f"refusing dense form for {self.n} nodes (limit {DENSE_NODE_LIMIT})"
             )
         return self.adjacency.toarray()
 

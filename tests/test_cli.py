@@ -146,6 +146,20 @@ class TestCluster:
         assert code == 1
         assert "irmm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--method", "hlouvain", "--trace-out", "t.tsv"), "irmm"),
+            (("--method", "irmm", "--alpha", 2), "alpha"),
+        ],
+    )
+    def test_flags_checked_before_input_read(self, tmp_path, capsys, flags, named):
+        code = run("cluster", "--input", tmp_path / "missing.hgr", *flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert named in err
+        assert "missing.hgr" not in err
+
 
 class TestEval:
     def test_identical_files_score_one(self, tmp_path, capsys):

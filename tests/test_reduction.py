@@ -8,6 +8,7 @@ from hypermod import (
     degrees,
     random_walk_matrix,
 )
+from hypermod import reduction
 from hypermod.reduction import _dense_edges
 
 from conftest import random_dyadic_hypergraph, random_hypergraph
@@ -100,11 +101,12 @@ class TestStructure:
         scaled = degree_preserving_reduce(g.with_weights(lam * g.weights)).to_dense()
         assert np.allclose(scaled, lam * base, rtol=1e-14)
 
-    def test_dense_guard(self):
+    def test_dense_guard(self, monkeypatch):
         g = Hypergraph(3, [[0, 1, 2]])
         rg = degree_preserving_reduce(g)
+        monkeypatch.setattr(reduction, "DENSE_NODE_LIMIT", 2)
         with pytest.raises(ValueError, match="dense"):
-            rg.to_dense(limit=2)
+            rg.to_dense()
 
 
 def large_edge_hypergraph(rng, weighted):
