@@ -30,13 +30,13 @@ from .irmm import (
 from .louvain import (
     ClusterResult,
     LouvainConfig,
-    aggregate,
     flatten,
     louvain,
 )
 from .modularity import (
     ModularityContext,
     Partition,
+    aggregate,
     modularity,
 )
 from .reduction import (

@@ -93,6 +93,8 @@ def cmd_cluster(args) -> int:
     # Flags are checked before the input is read.
     if args.trace_out and args.method != "irmm":
         raise ValueError("--trace-out is only meaningful with --method irmm")
+    if args.k is not None and args.k < 1:
+        raise ValueError("--k must be at least 1")
     louvain_cfg = LouvainConfig(seed=args.seed, shuffle=args.shuffle)
     irmm_cfg = IrmmConfig(
         alpha=args.alpha,

@@ -19,6 +19,7 @@ from .modularity import (
     MIN_GAIN,
     ModularityContext,
     Partition,
+    aggregate,
     cluster_matrix,
     modularity,
 )
@@ -29,7 +30,6 @@ __all__ = [
     "ClusterResult",
     "louvain",
     "flatten",
-    "aggregate",
 ]
 
 # Cap on aggregation levels per hierarchy and on hierarchy reruns.
@@ -46,6 +46,10 @@ class LouvainConfig:
 
     seed: int = 0
     shuffle: bool = False
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -83,20 +87,6 @@ def flatten(levels: list[Partition]) -> Partition:
     for level in levels[1:]:
         acc = level.assignment[acc]
     return Partition(acc)
-
-
-def aggregate(graph: ReducedGraph, partition: Partition) -> ReducedGraph:
-    """Collapse clusters into super-nodes, keeping self-loops.
-
-    The result is the cluster matrix Mᵀ·(A·M) from which modularity and
-    ``ModularityContext`` read their cluster sums, so its self-loops and
-    degrees are those sums bit for bit, and modularity of the aggregate
-    under the identity partition equals the fine graph's modularity under
-    ``partition``.
-    """
-    return ReducedGraph(
-        cluster_matrix(graph.adjacency, partition.assignment, partition.c)
-    )
 
 
 _RECUT_SIZE_LIMIT = 12
@@ -219,8 +209,6 @@ def louvain(graph: ReducedGraph, config: LouvainConfig | None = None) -> Cluster
         raise ValueError("empty graph")
     if graph.total_weight_2m <= 0:
         raise ValueError("graph has no edge weight")
-    if cfg.seed < 0:
-        raise ValueError("seed must be non-negative")
 
     rng = np.random.default_rng(cfg.seed)
     levels = _one_hierarchy(graph, None, cfg, rng) or [Partition(np.arange(graph.n))]

@@ -5,14 +5,17 @@ adjacency row sums and 2m their total. When the adjacency is the
 degree-preserving reduction, the k_i coincide with the weighted hypergraph
 node degrees, so this is the hypergraph analogue of the configuration
 model. Modularity is evaluated through per-cluster sufficient statistics
-(internal weight and total degree), both read off one product: the c x c
+(internal weight and total degree), both read off ``aggregate``: the c x c
 cluster matrix Mᵀ·(A·M) for the one-hot membership M, whose diagonal and
-row sums they are. Louvain's aggregation step takes the same matrix as its
-coarse graph. The quadratic double-sum form is never materialized.
+row sums they are, and Louvain's coarse graph. The quadratic double-sum
+form is never materialized.
 
-Louvain's local moving is ``ModularityContext.local_moving``. A node visit
-costs time in its row length, not in n: a row of at most ``SHORT_ROW``
-(128) stored entries is accumulated into a dict and scored with Python
+Louvain's local moving is ``ModularityContext.local_moving``. A move's
+gain reads only the node's weight into each cluster, self-loop excluded,
+and the clusters' total degrees, so a context drops the self-loops from
+its rows once, when it is built. A node visit costs time in its row
+length, not in n: a row of at most ``SHORT_ROW`` (128) stored entries
+besides the self-loop is accumulated into a dict and scored with Python
 scalars, and a longer row is binned with numpy and scored as one array.
 Both forms add each cluster's weights in row order starting from 0.0,
 evaluate the same gain expression with the same operations and break ties
@@ -36,6 +39,7 @@ MIN_GAIN = 1e-9
 __all__ = [
     "Partition",
     "ModularityContext",
+    "aggregate",
     "modularity",
 ]
 
@@ -102,14 +106,19 @@ def cluster_matrix(adjacency, labels, c):
     return member.T.tocsr() @ (adjacency @ member)
 
 
-def _cluster_sums(adjacency, labels, c):
-    """Per-cluster internal weight and volume: the self-loops and degrees
-    of the cluster matrix's ReducedGraph, which is what ``aggregate``
-    returns, so the two agree bit for bit. With one cluster both are the
+def aggregate(graph: ReducedGraph, partition: Partition) -> ReducedGraph:
+    """Collapse clusters into super-nodes, keeping self-loops.
+
+    The result is the cluster matrix Mᵀ·(A·M). Its self-loops and degrees
+    are the clusters' internal weights and total degrees, the sums that
+    ``modularity`` and ``ModularityContext`` read, so modularity of the
+    aggregate under the identity partition equals the fine graph's
+    modularity under ``partition``. With one cluster both sums are the
     single stored value, which puts the one-cluster modularity at exactly 0.
     """
-    clusters = ReducedGraph(cluster_matrix(adjacency, labels, c))
-    return clusters.self_loops, clusters.node_degrees
+    return ReducedGraph(
+        cluster_matrix(graph.adjacency, partition.assignment, partition.c)
+    )
 
 
 def modularity(graph, partition: Partition) -> float:
@@ -120,99 +129,75 @@ def modularity(graph, partition: Partition) -> float:
     """
     if len(partition) != graph.n:
         raise ValueError("partition does not cover the graph's nodes")
-    sigma_in, sigma_tot = _cluster_sums(
-        graph.adjacency, partition.assignment, partition.c
-    )
+    clusters = aggregate(graph, partition)
+    sigma_tot = clusters.node_degrees
     two_m = np.add.reduce(sigma_tot)
     if two_m <= 0:
         raise ValueError("graph has no edge weight")
     frac = sigma_tot / two_m
-    return float(np.add.reduce(sigma_in / two_m - frac * frac))
+    return float(np.add.reduce(clusters.self_loops / two_m - frac * frac))
 
 
 class ModularityContext:
     """Mutable cluster statistics supporting incremental move evaluation.
 
     Tracks, for one ReducedGraph and a current assignment, each cluster's
-    total degree and internal weight. :meth:`local_moving` mutates it
-    through :meth:`move`; reads are safe between mutations.
+    total degree and size. :meth:`local_moving` mutates it through
+    :meth:`move`; reads are safe between mutations.
     """
 
     def __init__(self, graph, partition: Partition | None = None):
         adjacency = graph.adjacency
+        if graph.self_loops.any():
+            # Only aggregated levels pay for this copy; the difference
+            # stores no zero, so the rows keep no diagonal entry.
+            adjacency = adjacency - sparse.diags(graph.self_loops)
         self._indptr = adjacency.indptr
         self._indices = adjacency.indices
         self._data = adjacency.data
         self.two_m = graph.total_weight_2m
         self.degrees = graph.node_degrees
-        self.self_loops = graph.self_loops
         if partition is None:
             # Singleton start: one cluster slot per node.
             self.assignment = np.arange(graph.n)
             self.sigma_tot = self.degrees.astype(np.float64).copy()
-            self.sigma_in = self.self_loops.astype(np.float64).copy()
             self.sizes = np.ones(graph.n, dtype=np.int64)
         else:
             if len(partition) != graph.n:
                 raise ValueError("partition does not cover the graph's nodes")
             self.assignment = partition.assignment.copy()
-            self.sigma_in, self.sigma_tot = _cluster_sums(
-                adjacency, self.assignment, partition.c
-            )
+            self.sigma_tot = aggregate(graph, partition).node_degrees
             self.sizes = partition.cluster_sizes.copy()
         self._empty_ids: list[int] = []
 
     def neighbor_cluster_weights(self, node):
         """Clusters adjacent to ``node`` and the edge weight into each.
 
-        The node's self-loop is excluded, and so is a cluster whose weights
-        sum to zero. A row of at most ``SHORT_ROW`` stored entries gives a
+        The row holds no self-loop, and a cluster whose weights sum to zero
+        is left out. A row of at most ``SHORT_ROW`` stored entries gives a
         dict {cluster id: weight}; a longer row gives (cluster ids
         ascending, weights) arrays from one bincount.
         """
         lo, hi = self._indptr.item(node), self._indptr.item(node + 1)
-        cols = self._indices[lo:hi]
+        labels = self.assignment.take(self._indices[lo:hi])
         if hi - lo <= SHORT_ROW:
             acc = {}
             get = acc.get
-            labels = self.assignment.take(cols).tolist()
-            vals = self._data[lo:hi].tolist()
-            if self.self_loops.item(node):
-                for col, c, w in zip(cols.tolist(), labels, vals):
-                    if col != node:
-                        acc[c] = get(c, 0.0) + w
-            else:
-                # A zero self-loop adds 0.0, which leaves every sum as it is.
-                for c, w in zip(labels, vals):
-                    acc[c] = get(c, 0.0) + w
+            for c, w in zip(labels.tolist(), self._data[lo:hi].tolist()):
+                acc[c] = get(c, 0.0) + w
             if 0.0 in acc.values():
                 acc = {c: w for c, w in acc.items() if w}
             return acc
-        vals = self._data[lo:hi]
-        other = cols != node
-        if not other.all():
-            cols = cols[other]
-            vals = vals[other]
-        if cols.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, np.empty(0)
-        sums = np.bincount(self.assignment[cols], weights=vals)
+        sums = np.bincount(labels, weights=self._data[lo:hi])
         cand = np.flatnonzero(sums)
         return cand, sums[cand]
 
-    def move(self, node, to, s_frm, s_to) -> None:
-        """Reassign ``node`` to cluster ``to`` and update the sums.
-
-        ``s_frm``/``s_to`` are the node's edge weights into its current
-        cluster and into ``to``, self-loop excluded.
-        """
+    def move(self, node, to) -> None:
+        """Move ``node`` to cluster ``to``; update cluster totals and sizes."""
         frm = self.assignment[node]
         k = self.degrees[node]
-        loop = self.self_loops[node]
         self.sigma_tot[frm] -= k
-        self.sigma_in[frm] -= 2.0 * s_frm + loop
         self.sigma_tot[to] += k
-        self.sigma_in[to] += 2.0 * s_to + loop
         self.assignment[node] = to
         self.sizes[frm] -= 1
         self.sizes[to] += 1
@@ -254,7 +239,7 @@ class ModularityContext:
                 k = degrees.item(u)
                 k2 = 2.0 * k
                 tot_a_without = tot_of(a) - k
-                best, best_gain, s_to = -1, MIN_GAIN, 0.0
+                best, best_gain = -1, MIN_GAIN
                 if isinstance(neighbors, dict):
                     if not neighbors:
                         continue
@@ -276,7 +261,6 @@ class ModularityContext:
                         i = int(np.argmax(gains))
                         if gains[i] > MIN_GAIN:
                             best, best_gain = int(cand[i]), gains[i]
-                            s_to = float(weights[i])
                     scalar = {}
                 if sizes.item(a) > 1:
                     spare = self.first_empty_cluster()
@@ -288,9 +272,9 @@ class ModularityContext:
                         - k2 * (tot_of(c) - tot_a_without) / two_m_sq
                     )
                     if gain > best_gain or (gain == best_gain and c < best):
-                        best, best_gain, s_to = c, gain, w
+                        best, best_gain = c, gain
                 if best >= 0:
-                    self.move(u, best, s_a, s_to)
+                    self.move(u, best)
                     moves += 1
             total += moves
             if moves == 0:

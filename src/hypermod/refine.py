@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .louvain import aggregate
-from .modularity import Partition
+from .modularity import Partition, aggregate
 from .reduction import ReducedGraph
 
 __all__ = ["agglomerate"]

@@ -190,27 +190,9 @@ def gain_of_move(ctx, node, frm, to):
 
 
 def move_node(ctx, node, to):
-    """``ctx.move`` with the row's weights into the source and target
-    clusters read by a reference scan; moving to its own cluster is a
-    no-op."""
-    frm = ctx.assignment[node]
-    if frm == to:
-        return
-    neighbors = _neighbor_cluster_weights_reference(ctx, node)
-    ctx.move(
-        node,
-        to,
-        _weight_to_reference(*neighbors, frm),
-        _weight_to_reference(*neighbors, to),
-    )
-
-
-def context_modularity(ctx):
-    """Modularity of a context's assignment from its tracked sums."""
-    frac = ctx.sigma_tot / ctx.two_m
-    return float(
-        np.add.reduce(ctx.sigma_in) / ctx.two_m - np.add.reduce(frac * frac)
-    )
+    """``ctx.move``; moving to its own cluster is a no-op."""
+    if ctx.assignment[node] != to:
+        ctx.move(node, to)
 
 
 def local_moving_reference(ctx, order, min_gain):
@@ -254,7 +236,7 @@ def local_moving_reference(ctx, order, min_gain):
             )
             best = int(np.argmax(gains))
             if gains[best] > min_gain:
-                ctx.move(u, int(cand[best]), s_frm=s_a, s_to=float(weights[best]))
+                ctx.move(u, int(cand[best]))
                 moves += 1
         total += moves
         if moves == 0:

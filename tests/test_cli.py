@@ -151,6 +151,8 @@ class TestCluster:
         [
             (("--method", "hlouvain", "--trace-out", "t.tsv"), "irmm"),
             (("--method", "irmm", "--alpha", 2), "alpha"),
+            (("--k", 0), "--k must be at least 1"),
+            (("--seed", -1), "seed must be non-negative"),
         ],
     )
     def test_flags_checked_before_input_read(self, tmp_path, capsys, flags, named):

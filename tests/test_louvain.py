@@ -128,6 +128,10 @@ class TestLouvain:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             louvain(rg, LouvainConfig(seed=-1))
 
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            LouvainConfig(seed=-1)
+
     def test_empty_graph_rejected(self):
         g = Hypergraph(3, [[0, 1]])
         rg = degree_preserving_reduce(g)
@@ -281,16 +285,16 @@ def run_both(graph, init=None, order=None, pre_moves=()):
     into_empty = []
     move = ours.move
 
-    def recording_move(node, to, s_frm, s_to):
+    def recording_move(node, to):
         into_empty.append(bool(ours.sizes[to] == 0))
-        move(node, to, s_frm, s_to)
+        move(node, to)
 
     ours.move = recording_move
     order = np.arange(graph.n) if order is None else order
     got = ours.local_moving(order)
     want = local_moving_reference(ref, order, MIN_GAIN)
     assert got == want
-    for attr in ("assignment", "sigma_tot", "sigma_in", "sizes"):
+    for attr in ("assignment", "sigma_tot", "sizes"):
         assert same_bits(getattr(ours, attr), getattr(ref, attr)), attr
     return ours, into_empty
 
