@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .modularity import (
     MIN_GAIN,
@@ -135,12 +136,13 @@ def _recut_small_clusters(graph, partition):
     With positive degrees one cluster then stays whole, say u = 0, and
     g = g_b − 2xy < g_b. So g is below a gain the loop tries.
     """
-    adjacency = graph.adjacency
     clusters = partition.clusters()
     # Only clusters below the limit can take part in a pair.
     labels = partition.assignment
     small = partition.cluster_sizes[labels] < _RECUT_SIZE_LIMIT
-    between = cluster_matrix(adjacency[small][:, small], labels[small], partition.c)
+    between = sparse.csr_matrix(
+        cluster_matrix(graph.submatrix(small), labels[small], partition.c)
+    )
 
     best_gain, best_recut = MIN_GAIN, None
     for a, members_a in enumerate(clusters):
@@ -152,7 +154,9 @@ def _recut_small_clusters(graph, partition):
             if not 2 <= members.size <= _RECUT_SIZE_LIMIT:
                 continue
             current = 0 if b == a else (1 << members_a.size) - 1
-            block = adjacency[members][:, members].toarray()
+            block = graph.submatrix(members)
+            if sparse.issparse(block):
+                block = block.toarray()
             gain, side = _best_bisection(
                 block, graph.node_degrees[members], graph.total_weight_2m, current
             )

@@ -13,13 +13,17 @@ form is never materialized.
 Louvain's local moving is ``ModularityContext.local_moving``. A move's
 gain reads only the node's weight into each cluster, self-loop excluded,
 and the clusters' total degrees, so a context drops the self-loops from
-its rows once, when it is built. A node visit costs time in its row
-length, not in n: a row of at most ``SHORT_ROW`` (128) stored entries
-besides the self-loop is accumulated into a dict and scored with Python
-scalars, and a longer row is binned with numpy and scored as one array.
-Both forms add each cluster's weights in row order starting from 0.0,
-evaluate the same gain expression with the same operations and break ties
-toward the lowest cluster id, so they choose the same moves bit for bit.
+its rows once, when it is built. A row comes in one of two forms. A CSR
+row of at most ``SHORT_ROW`` (128) stored entries besides the self-loop
+is accumulated into a dict and scored with Python scalars, so a visit
+costs time in its row length, not in n. A longer CSR row, and every row
+of a dense layout, is binned by one bincount into the full per-cluster
+sums array (a dense row against the whole assignment, with no index
+gather) and scored as one array with a masked ``argmax``. Both forms add
+each cluster's weights in row order starting from 0.0 (a dense row adds
+exact zeros between them), evaluate the same gain expression with the
+same operations and break ties toward the lowest cluster id, so they
+choose the same moves bit for bit.
 """
 
 from __future__ import annotations
@@ -94,15 +98,21 @@ class Partition:
 
 
 def cluster_matrix(adjacency, labels, c):
-    """The c x c cluster matrix Mᵀ·(A·M) as CSR.
+    """The c x c cluster matrix Mᵀ·(A·M): CSR for a sparse A, an array for
+    a dense one.
 
     M is the n x c one-hot membership matrix of ``labels``. Entry (a, b)
     is the total adjacency weight from cluster a to cluster b, so the
     diagonal holds each cluster's internal weight and the row sums its
-    volume. A·M is formed first, which keeps A in CSR without a copy.
+    volume. A sparse A is multiplied as A·M first, which keeps it in CSR
+    without a copy. A dense A is read only by the sparse Mᵀ, as
+    Mᵀ·(Mᵀ·A)ᵀ, which equals Mᵀ·A·M because A is symmetric.
     """
     n = labels.size
     member = sparse.csr_matrix((np.ones(n), labels, np.arange(n + 1)), shape=(n, c))
+    if isinstance(adjacency, np.ndarray):
+        member_t = member.T.tocsr()
+        return member_t @ (member_t @ adjacency).T
     return member.T.tocsr() @ (adjacency @ member)
 
 
@@ -116,9 +126,8 @@ def aggregate(graph: ReducedGraph, partition: Partition) -> ReducedGraph:
     modularity under ``partition``. With one cluster both sums are the
     single stored value, which puts the one-cluster modularity at exactly 0.
     """
-    return ReducedGraph(
-        cluster_matrix(graph.adjacency, partition.assignment, partition.c)
-    )
+    adjacency = graph.dense if graph.dense is not None else graph.adjacency
+    return ReducedGraph(cluster_matrix(adjacency, partition.assignment, partition.c))
 
 
 def modularity(graph, partition: Partition) -> float:
@@ -147,14 +156,19 @@ class ModularityContext:
     """
 
     def __init__(self, graph, partition: Partition | None = None):
-        adjacency = graph.adjacency
-        if graph.self_loops.any():
-            # Only aggregated levels pay for this copy; the difference
-            # stores no zero, so the rows keep no diagonal entry.
-            adjacency = adjacency - sparse.diags(graph.self_loops)
-        self._indptr = adjacency.indptr
-        self._indices = adjacency.indices
-        self._data = adjacency.data
+        # Only aggregated levels have self-loops and pay for a copy without
+        # them; a CSR difference stores no zero, so no diagonal entry is left.
+        self._dense = graph.dense
+        if self._dense is None:
+            adjacency = graph.adjacency
+            if graph.self_loops.any():
+                adjacency = adjacency - sparse.diags(graph.self_loops)
+            self._indptr = adjacency.indptr
+            self._indices = adjacency.indices
+            self._data = adjacency.data
+        elif graph.self_loops.any():
+            self._dense = self._dense.copy()
+            np.fill_diagonal(self._dense, 0.0)
         self.two_m = graph.total_weight_2m
         self.degrees = graph.node_degrees
         if partition is None:
@@ -170,27 +184,39 @@ class ModularityContext:
             self.sizes = partition.cluster_sizes.copy()
         self._empty_ids: list[int] = []
 
-    def neighbor_cluster_weights(self, node):
-        """Clusters adjacent to ``node`` and the edge weight into each.
+    def row(self, node):
+        """Column ids and weights of ``node``'s row, self-loop excluded.
 
-        The row holds no self-loop, and a cluster whose weights sum to zero
-        is left out. A row of at most ``SHORT_ROW`` stored entries gives a
-        dict {cluster id: weight}; a longer row gives (cluster ids
-        ascending, weights) arrays from one bincount.
+        A dense layout's row covers every column; its ids are None.
         """
+        if self._dense is not None:
+            return None, self._dense[node]
         lo, hi = self._indptr.item(node), self._indptr.item(node + 1)
-        labels = self.assignment.take(self._indices[lo:hi])
-        if hi - lo <= SHORT_ROW:
+        return self._indices[lo:hi], self._data[lo:hi]
+
+    def neighbor_cluster_weights(self, node):
+        """Edge weight from ``node`` into each cluster, self-loop excluded.
+
+        A CSR row of at most ``SHORT_ROW`` stored entries gives a dict
+        {cluster id: weight} that leaves out a cluster whose weights sum to
+        zero. Any other row gives the per-cluster sums array from one
+        bincount, long enough to hold the node's own cluster; a cluster not
+        adjacent to the node reads 0.
+        """
+        cols, weights = self.row(node)
+        if cols is None:
+            return np.bincount(self.assignment, weights=weights)
+        labels = self.assignment.take(cols)
+        if cols.size <= SHORT_ROW:
             acc = {}
             get = acc.get
-            for c, w in zip(labels.tolist(), self._data[lo:hi].tolist()):
+            for c, w in zip(labels.tolist(), weights.tolist()):
                 acc[c] = get(c, 0.0) + w
             if 0.0 in acc.values():
                 acc = {c: w for c, w in acc.items() if w}
             return acc
-        sums = np.bincount(labels, weights=self._data[lo:hi])
-        cand = np.flatnonzero(sums)
-        return cand, sums[cand]
+        own = self.assignment.item(node) + 1
+        return np.bincount(labels, weights=weights, minlength=own)
 
     def move(self, node, to) -> None:
         """Move ``node`` to cluster ``to``; update cluster totals and sizes."""
@@ -246,21 +272,20 @@ class ModularityContext:
                     s_a = neighbors.pop(a, 0.0)
                     scalar = neighbors
                 else:
-                    cand, weights = neighbors
-                    if cand.size == 0:
+                    sums = neighbors
+                    if not np.count_nonzero(sums):
                         continue
-                    other = cand != a
-                    s_a = 0.0 if other.all() else float(weights[~other][0])
-                    cand = cand[other]
-                    weights = weights[other]
-                    if cand.size:
-                        gains = (
-                            2.0 * (weights - s_a) / two_m
-                            - k2 * (sigma_tot[cand] - tot_a_without) / two_m_sq
-                        )
-                        i = int(np.argmax(gains))
-                        if gains[i] > MIN_GAIN:
-                            best, best_gain = int(cand[i]), gains[i]
+                    s_a = sums.item(a)
+                    gains = (
+                        2.0 * (sums - s_a) / two_m
+                        - k2 * (sigma_tot[: sums.size] - tot_a_without) / two_m_sq
+                    )
+                    # Only adjacent clusters compete. The node's own cluster
+                    # scores -2k²/(2m)² ≤ 0, below MIN_GAIN, so it needs no mask.
+                    gains[sums == 0.0] = -np.inf
+                    i = int(gains.argmax())
+                    if gains[i] > MIN_GAIN:
+                        best, best_gain = i, gains[i]
                     scalar = {}
                 if sizes.item(a) > 1:
                     spare = self.first_empty_cluster()

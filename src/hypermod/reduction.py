@@ -9,19 +9,22 @@ associated random-walk transition matrix (pick an incident hyperedge
 proportional to weight, then a different member uniformly) is exposed for
 verification.
 
-Both reductions are materialized as CSR matrices with sorted indices and a
-structurally zero diagonal, built as H diag(s) H^T for the n x m incidence
-H and a per-hyperedge scale s. Hyperedges are split by size:
+Both reductions are H diag(s) H^T with a zero diagonal, for the n x m
+incidence H and a per-hyperedge scale s. Hyperedges are split by size:
 
 - small ones go through a sparse product, which costs the sum of their
   squared sizes (Σδ²), plus the handling of each output entry;
 - the largest ones, when their Σδ² is predicted to cost more, go through
-  one dense BLAS product, which costs n² multiply-adds per hyperedge and
-  one scan of the n² dense cells into CSR, built a block of rows at a time
-  so no n x n temporary exists.
+  one dense BLAS product, which costs n² multiply-adds per hyperedge,
+  built a block of rows at a time.
 
 The split is chosen per call from that predicted cost; with no hyperedge
-above the cutoff only the sparse product runs. Either way the output is
+above the cutoff only the sparse product runs. A ``ReducedGraph`` has one
+of two layouts. The sparse product alone gives CSR with sorted indices.
+The split build writes its row blocks into one n x n float64 array (8·n²
+bytes) when a per-row bound predicts at least 2/3 fill, where a CSR entry
+would cost 12 bytes, and n is at most ``DENSE_NODE_LIMIT``; otherwise it
+scans the blocks into CSR with no n x n temporary. The output is
 combinatorial in hyperedge size, so a dense copy is refused above
 ``DENSE_NODE_LIMIT`` nodes.
 """
@@ -46,39 +49,79 @@ __all__ = [
 DENSE_NODE_LIMIT = 20_000
 
 
+def _row_sums(block: np.ndarray) -> np.ndarray:
+    """Sums of each row's nonzero cells in column order, added exactly as
+    CSR ``sum(axis=1)`` adds the stored entries (one ``reduceat``)."""
+    nonzero = block != 0.0
+    counts = np.count_nonzero(nonzero, axis=1)
+    starts = np.cumsum(counts) - counts
+    sums = np.zeros(block.shape[0])
+    filled = counts > 0
+    sums[filled] = np.add.reduceat(block[nonzero], starts[filled])
+    return sums
+
+
 class ReducedGraph:
     """Symmetric weighted adjacency with cached degrees.
 
     ``node_degrees`` are exact row sums and ``total_weight_2m`` their total.
     Hypergraph reductions produce a zero diagonal; aggregated graphs built
     during optimization keep intra-cluster weight as self-loops.
+
+    The layout is a sparse matrix, kept as sorted CSR, or an n x n array,
+    kept as ``dense``; ``dense`` is None for CSR. ``adjacency`` is CSR for
+    both: a dense layout builds it on first read and caches it, so code
+    that reads the graph through its methods never builds it.
     """
 
-    def __init__(self, adjacency):
-        adjacency = adjacency.tocsr()
-        adjacency.sort_indices()
-        self.adjacency = adjacency
-        self.node_degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-        self.total_weight_2m = float(self.node_degrees.sum())
+    def __init__(self, adjacency, node_degrees=None):
+        if isinstance(adjacency, np.ndarray):
+            self.dense = adjacency
+            if node_degrees is None:
+                node_degrees = _row_sums(adjacency)
+        else:
+            adjacency = adjacency.tocsr()
+            adjacency.sort_indices()
+            self.dense = None
+            self.adjacency = adjacency
+            node_degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+        self.n = adjacency.shape[0]
+        self.node_degrees = node_degrees
+        self.total_weight_2m = float(node_degrees.sum())
 
-    @property
-    def n(self):
-        return self.adjacency.shape[0]
+    @cached_property
+    def adjacency(self):
+        adjacency = sparse.csr_matrix(self.dense)
+        adjacency.sort_indices()
+        return adjacency
 
     @cached_property
     def self_loops(self):
+        if self.dense is not None:
+            return self.dense.diagonal()
         return self.adjacency.diagonal()
 
+    def submatrix(self, nodes):
+        """Adjacency among ``nodes`` (indices or a mask) in this layout."""
+        if self.dense is not None:
+            return self.dense[np.ix_(nodes, nodes)]
+        return self.adjacency[nodes][:, nodes]
+
     def to_dense(self) -> np.ndarray:
+        """A new dense copy of the adjacency."""
         if self.n > DENSE_NODE_LIMIT:
             raise ValueError(
                 f"refusing dense form for {self.n} nodes (limit {DENSE_NODE_LIMIT})"
             )
+        if self.dense is not None:
+            return self.dense.copy()
         return self.adjacency.toarray()
 
     def __repr__(self):
+        dense = self.dense
+        nnz = self.adjacency.nnz if dense is None else np.count_nonzero(dense)
         return (
-            f"ReducedGraph(n={self.n}, nnz={self.adjacency.nnz},"
+            f"ReducedGraph(n={self.n}, nnz={nnz},"
             f" total_weight_2m={self.total_weight_2m:g})"
         )
 
@@ -123,8 +166,8 @@ def _dense_edges(delta: np.ndarray, n: int):
     return delta >= order[best]
 
 
-def _expand(g: Hypergraph, edge_scale: np.ndarray):
-    """H diag(edge_scale) H^T with the diagonal removed, as sorted CSR."""
+def _expand(g: Hypergraph, edge_scale: np.ndarray) -> ReducedGraph:
+    """H diag(edge_scale) H^T with the diagonal removed."""
     H = g.incidence()
     Hs = H.copy()
     Hs.data = Hs.data * edge_scale[Hs.indices]
@@ -134,7 +177,7 @@ def _expand(g: Hypergraph, edge_scale: np.ndarray):
     prod = (Hs @ H.T).tocsr()
     prod = (prod - sparse.diags(prod.diagonal())).tocsr()
     prod.eliminate_zeros()
-    return prod
+    return ReducedGraph(prod)
 
 
 def _expand_split(g: Hypergraph, Hs, edge_scale: np.ndarray, large: np.ndarray):
@@ -142,9 +185,13 @@ def _expand_split(g: Hypergraph, Hs, edge_scale: np.ndarray, large: np.ndarray):
 
     Rows are built one block at a time: the sparse product of the block's
     rows over the small hyperedges, densified, plus the BLAS product of the
-    block's rows of the dense large-edge incidence with all of it, is
-    scanned straight into CSR arrays sized by a per-row bound. No n x n
-    temporary is formed.
+    block's rows of the dense large-edge incidence with all of it. A per-row
+    bound on the entries picks the layout. At 2/3 fill or more, and at most
+    ``DENSE_NODE_LIMIT`` nodes, the blocks are written into one n x n array
+    and each block's row sums are taken over its nonzero cells, as CSR would
+    add them. Otherwise each block is scanned straight into CSR arrays sized
+    by the bound, and no n x n temporary is formed. Both layouts store the
+    same values.
     """
     n = g.n
     H = g.incidence()
@@ -156,33 +203,43 @@ def _expand_split(g: Hypergraph, Hs, edge_scale: np.ndarray, large: np.ndarray):
     # Row i has at most min(n - 1, sum over its edges of (size - 1)) entries.
     bound = np.minimum(n - 1, H @ (g.edge_degrees - 1.0)).astype(np.int64)
     capacity = int(bound.sum())
-    index_dtype = np.int32 if capacity < 2**31 else np.int64
-    data = np.empty(capacity)
-    indices = np.empty(capacity, dtype=index_dtype)
-    indptr = np.zeros(n + 1, dtype=index_dtype)
-
     rows = max(1, _BLOCK_CELLS // n)
-    columns = np.broadcast_to(np.arange(n, dtype=index_dtype), (rows, n)).copy()
+    out = None
+    if 3 * capacity >= 2 * n * n and n <= DENSE_NODE_LIMIT:
+        out, degrees = np.empty((n, n)), np.empty(n)
+    else:
+        index_dtype = np.int32 if capacity < 2**31 else np.int64
+        data = np.empty(capacity)
+        indices = np.empty(capacity, dtype=index_dtype)
+        indptr = np.zeros(n + 1, dtype=index_dtype)
+        columns = np.broadcast_to(np.arange(n, dtype=index_dtype), (rows, n)).copy()
     end = 0
     for r0 in range(0, n, rows):
         r1 = min(n, r0 + rows)
-        block = (small_left[r0:r1] @ small_right).toarray()
+        block = (small_left[r0:r1] @ small_right).toarray(
+            out=None if out is None else out[r0:r1]
+        )
         block += (dense[r0:r1] * dense_scale) @ dense.T
         block[np.arange(r1 - r0), np.arange(r0, r1)] = 0.0
+        if out is not None:
+            degrees[r0:r1] = _row_sums(block)
+            continue
         mask = block != 0.0
         start, end = end, end + int(np.count_nonzero(mask))
         data[start:end] = block[mask]
         indices[start:end] = columns[: r1 - r0][mask]
         indptr[r0 + 1 : r1 + 1] = start + np.cumsum(np.count_nonzero(mask, axis=1))
+    if out is not None:
+        return ReducedGraph(out, degrees)
     # Shrinking in place releases the unused tail without a second copy.
     data.resize(end, refcheck=False)
     indices.resize(end, refcheck=False)
-    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    return ReducedGraph(sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
 
 
 def clique_reduce(g: Hypergraph) -> ReducedGraph:
     """Clique expansion: every in-edge pair gets the hyperedge weight."""
-    return ReducedGraph(_expand(g, g.weights))
+    return _expand(g, g.weights)
 
 
 def degree_preserving_reduce(g: Hypergraph) -> ReducedGraph:
@@ -194,11 +251,13 @@ def degree_preserving_reduce(g: Hypergraph) -> ReducedGraph:
 
     Hyperedges of size δ up to a cutoff are summed by a sparse product
     costing Σδ² over them; larger ones, when present, by one BLAS product
-    costing n² multiply-adds each, written into CSR one block of rows at a
-    time. The cutoff (never below 65 nodes) is chosen per call from those
-    two predicted costs. With no hyperedge above it the result is exactly
-    the sparse product's; otherwise entries differ from it only by
-    summation order.
+    costing n² multiply-adds each, built one block of rows at a time. The
+    cutoff (never below 65 nodes) is chosen per call from those two
+    predicted costs. With no hyperedge above it the result is exactly the
+    sparse product's, as CSR; otherwise entries differ from it only by
+    summation order, and a result predicted to be at least 2/3 full is kept
+    as a dense n x n array (8·n² bytes), with the same values and degrees
+    that CSR would hold.
     """
     delta = g.edge_degrees
     if int(delta.min()) < 2:
@@ -206,7 +265,7 @@ def degree_preserving_reduce(g: Hypergraph) -> ReducedGraph:
             "degree-preserving reduction needs every hyperedge degree >= 2;"
             " run preprocess() first"
         )
-    reduced = ReducedGraph(_expand(g, g.weights / (delta - 1.0)))
+    reduced = _expand(g, g.weights / (delta - 1.0))
     expected = degrees(g).node_degrees
     if not np.allclose(reduced.node_degrees, expected, rtol=1e-9, atol=1e-12):
         raise RuntimeError(

@@ -139,10 +139,12 @@ def expansion_by_pairs(g, edge_scale):
 
 def _neighbor_cluster_weights_reference(ctx, node):
     """Clusters adjacent to ``node`` (ascending) and the weight into each,
-    self-loop excluded, from one bincount over the whole id range."""
-    lo, hi = ctx._indptr[node], ctx._indptr[node + 1]
-    cols = ctx._indices[lo:hi]
-    vals = ctx._data[lo:hi]
+    self-loop excluded, from one bincount over the whole id range of the
+    context's row (every column of a dense layout, the stored entries of a
+    CSR one)."""
+    cols, vals = ctx.row(node)
+    if cols is None:
+        cols = np.arange(vals.size)
     other = cols != node
     if not other.all():
         cols = cols[other]
@@ -164,10 +166,10 @@ def _weight_to_reference(cand, weights, cluster):
 
 def weight_to(neighbors, cluster):
     """Weight into ``cluster`` from either form of a
-    ``neighbor_cluster_weights`` result (dict or ascending arrays)."""
+    ``neighbor_cluster_weights`` result (dict or per-cluster sums array)."""
     if isinstance(neighbors, dict):
         return neighbors.get(cluster, 0.0)
-    return _weight_to_reference(*neighbors, cluster)
+    return float(neighbors[cluster]) if cluster < neighbors.size else 0.0
 
 
 def gain_of_move(ctx, node, frm, to):

@@ -209,14 +209,8 @@ class TestAggregate:
         coarse = aggregate(rg, p)
         assert coarse.total_weight_2m == pytest.approx(rg.total_weight_2m, rel=1e-12)
 
-    def test_memory_well_below_the_adjacency(self):
-        # Forming Mᵀ·A first would convert A to CSC: a full adjacency copy.
-        rg = generated(2, n=600)
-        adjacency = rg.adjacency
-        assert adjacency.nnz > 0.9 * rg.n * rg.n
-        nbytes = sum(
-            a.nbytes for a in (adjacency.data, adjacency.indices, adjacency.indptr)
-        )
+    @staticmethod
+    def aggregate_peak(rg):
         p = Partition.from_labels(np.arange(rg.n) % 10)
         tracemalloc.start()
         try:
@@ -225,7 +219,22 @@ class TestAggregate:
         finally:
             tracemalloc.stop()
         assert coarse.n == 10
-        assert peak < nbytes / 4
+        return peak
+
+    def test_memory_well_below_the_adjacency(self):
+        # Forming Mᵀ·A first would convert A to CSC: a full adjacency copy.
+        adjacency = generated(2, n=600).adjacency
+        rg = ReducedGraph(adjacency)
+        assert adjacency.nnz > 0.9 * rg.n * rg.n
+        nbytes = sum(
+            a.nbytes for a in (adjacency.data, adjacency.indices, adjacency.indptr)
+        )
+        assert self.aggregate_peak(rg) < nbytes / 4
+
+    def test_memory_well_below_the_dense_array(self):
+        rg = generated(2, n=600)
+        assert rg.dense is not None
+        assert self.aggregate_peak(rg) < rg.dense.nbytes / 4
 
 
 class TestDendrogram:
@@ -379,6 +388,25 @@ def spare_ties_graph(entries):
     return graph, Partition(labels), [(2, 3)]
 
 
+def far_cluster_graph(layout):
+    """Node 0 has a heavy self-loop, a light edge to each of 130 nodes of
+    cluster 2 and no edge into its own cluster 0 or into cluster 1, and no
+    cluster is empty. Scored like an adjacent one, the small cluster 1
+    would win; as a non-adjacent cluster it must not compete. Its id lies
+    below the adjacent one's, inside the per-cluster sums of a CSR row."""
+    n = 134
+    adjacency = sparse.lil_matrix((n, n))
+    for j in range(1, 131):
+        adjacency[0, j] = adjacency[j, 0] = 0.01
+    adjacency[0, 0] = 1000.0
+    adjacency[1, 1] = adjacency[131, 131] = 500.0
+    adjacency[132, 133] = adjacency[133, 132] = 1.0
+    if layout == "dense":
+        adjacency = adjacency.toarray()
+    labels = np.array([0] + [2] * 130 + [0, 1, 1])
+    return ReducedGraph(adjacency), Partition(labels)
+
+
 class TestLocalMovingMatchesReference:
     """The dict-based short-row visits and the scalar-scored spare cluster
     give the same moves, bit for bit, as the all-numpy loop."""
@@ -456,6 +484,13 @@ class TestLocalMovingMatchesReference:
         assert (row_lengths(graph)[0] > SHORT_ROW) == (links > SHORT_ROW)
         ctx, into_empty = run_both(graph, init=init, pre_moves=pre_moves)
         assert into_empty[0]
+
+    @pytest.mark.parametrize("layout", ["csr", "dense"])
+    def test_non_adjacent_cluster_does_not_compete(self, layout):
+        graph, init = far_cluster_graph(layout)
+        assert (graph.dense is None) == (layout == "csr")
+        ctx, _ = run_both(graph, init=init)
+        assert ctx.assignment[0] == 2
 
     @pytest.mark.parametrize("entries", [2, 2 * SHORT_ROW])
     def test_spare_cluster_wins_a_tie_by_lower_id(self, entries):

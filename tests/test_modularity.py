@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 
 from hypermod import (
+    GenConfig,
     Hypergraph,
     ModularityContext,
     Partition,
@@ -12,7 +13,9 @@ from hypermod import (
     aggregate,
     clique_reduce,
     degree_preserving_reduce,
+    generate,
     modularity,
+    preprocess,
 )
 
 from conftest import random_dyadic_hypergraph, random_hypergraph
@@ -147,9 +150,7 @@ class TestNeighborClusterWeights:
         if others + 2 <= SHORT_ROW:
             assert neighbors == {2: float((others + 1) // 2), 3: float(others // 2)}
         else:
-            cand, weights = neighbors
-            assert cand.tolist() == [2, 3]
-            assert weights.tolist() == [(others + 1) // 2, others // 2]
+            assert neighbors.tolist() == [0, 0, (others + 1) // 2, others // 2]
         for cluster, weight in ((0, 0.0), (1, 0.0), (2, (others + 1) // 2)):
             assert weight_to(neighbors, cluster) == weight
 
@@ -188,6 +189,24 @@ class TestContextRows:
             assert np.array_equal(bits(ctx._data), bits(adj.data[keep]))
             ctx_rows = np.repeat(np.arange(graph.n), np.diff(ctx._indptr))
             assert not np.any(ctx._indices == ctx_rows)
+
+
+    def test_dense_rows_drop_only_the_diagonal(self):
+        g, _ = generate(GenConfig(n=200, seed=3))
+        graph = degree_preserving_reduce(preprocess(g))
+        assert graph.dense is not None
+        ctx = ModularityContext(graph)
+        assert ctx.row(0)[0] is None
+        assert ctx.row(0)[1].base is graph.dense
+        coarse = aggregate(graph, Partition(np.arange(graph.n) % 7))
+        assert coarse.dense is not None and coarse.self_loops.all()
+        ctx = ModularityContext(coarse)
+        rows = np.array([ctx.row(i)[1] for i in range(coarse.n)])
+        off = ~np.eye(coarse.n, dtype=bool)
+        assert np.array_equal(bits(rows[off]), bits(coarse.dense[off]))
+        assert not rows.diagonal().any()
+        # The context zeroed a copy, not the graph's own diagonal.
+        assert coarse.dense.diagonal().all()
 
 
 def check_gains_against_recompute(n_max, max_degree):

@@ -2,17 +2,25 @@ import numpy as np
 import pytest
 
 from hypermod import (
+    GenConfig,
     Hypergraph,
+    Partition,
+    ReducedGraph,
+    agglomerate,
     clique_reduce,
     degree_preserving_reduce,
     degrees,
+    generate,
+    louvain,
+    modularity,
+    preprocess,
     random_walk_matrix,
 )
 from hypermod import reduction
 from hypermod.reduction import _dense_edges
 
 from conftest import random_dyadic_hypergraph, random_hypergraph
-from oracles import clique_degree_by_hand, expansion_by_pairs
+from oracles import bits, clique_degree_by_hand, expansion_by_pairs
 
 
 class TestCliqueReduce:
@@ -176,6 +184,74 @@ class TestDensePath:
             assert walk.has_sorted_indices
             sums = np.asarray(walk.sum(axis=1)).ravel()
             np.testing.assert_allclose(sums, 1.0, rtol=1e-12, atol=0)
+
+
+def generated_reduction(seed, n):
+    g, _ = generate(GenConfig(n=n, seed=seed))
+    return degree_preserving_reduce(preprocess(g))
+
+
+class TestDenseLayout:
+    """A split reduction predicted to be at least 2/3 full is kept as one
+    dense array holding exactly the values and degrees CSR would hold."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        graphs = [generated_reduction(seed, n) for seed, n in ((0, 200), (1, 300))]
+        assert all(rg.dense is not None for rg in graphs)
+        return graphs
+
+    def test_array_equals_the_csr(self, graphs):
+        for rg in graphs:
+            csr = rg.adjacency.toarray()
+            assert rg.dense.shape == csr.shape
+            assert np.array_equal(bits(rg.dense), bits(csr))
+
+    def test_degrees_equal_the_csr_row_sums(self, graphs):
+        for rg in graphs:
+            csr = ReducedGraph(rg.adjacency)
+            assert csr.dense is None
+            assert np.array_equal(bits(rg.node_degrees), bits(csr.node_degrees))
+
+    def test_louvain_agrees_across_layouts(self, graphs):
+        for rg in graphs:
+            dense, csr = louvain(rg), louvain(ReducedGraph(rg.adjacency))
+            assert dense.partition == csr.partition
+            assert dense.modularity == pytest.approx(csr.modularity, abs=1e-12)
+
+    def test_one_cluster_modularity_is_exactly_zero(self, graphs):
+        for rg in graphs:
+            assert modularity(rg, Partition(np.zeros(rg.n, dtype=int))) == 0.0
+
+    def test_reads_leave_the_csr_unbuilt(self):
+        rg = generated_reduction(2, 250)
+        assert rg.dense is not None
+        repr(rg)
+        assert rg.n == rg.dense.shape[0]
+        assert not rg.self_loops.any()
+        copy = rg.to_dense()
+        copy[0, 1] += 1.0
+        assert rg.dense[0, 1] != copy[0, 1]
+        result = louvain(rg)
+        agglomerate(rg, Partition(np.arange(rg.n) % 5), 2)
+        assert "adjacency" not in rg.__dict__
+        assert "adjacency" not in result.graph.__dict__
+
+    def test_low_predicted_fill_stays_csr(self):
+        # The 200 copies of one 80-node hyperedge take the BLAS product,
+        # but only 80 of the 800 rows fill up.
+        n = 800
+        edges = [[i, i + 1] for i in range(n - 1)] + [list(range(80))] * 200
+        g = Hypergraph(n, edges)
+        assert _dense_edges(g.edge_degrees, n) is not None
+        for rg in (clique_reduce(g), degree_preserving_reduce(g)):
+            assert rg.dense is None
+        np.testing.assert_allclose(
+            degree_preserving_reduce(g).to_dense(),
+            expansion_by_pairs(g, g.weights / (g.edge_degrees - 1.0)),
+            rtol=1e-12,
+            atol=0,
+        )
 
 
 class TestRandomWalk:
