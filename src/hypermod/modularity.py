@@ -13,17 +13,20 @@ form is never materialized.
 Louvain's local moving is ``ModularityContext.local_moving``. A move's
 gain reads only the node's weight into each cluster, self-loop excluded,
 and the clusters' total degrees, so a context drops the self-loops from
-its rows once, when it is built. A row comes in one of two forms. A CSR
-row of at most ``SHORT_ROW`` (128) stored entries besides the self-loop
-is accumulated into a dict and scored with Python scalars, so a visit
-costs time in its row length, not in n. A longer CSR row, and every row
-of a dense layout, is binned by one bincount into the full per-cluster
-sums array (a dense row against the whole assignment, with no index
-gather) and scored as one array with a masked ``argmax``. Both forms add
-each cluster's weights in row order starting from 0.0 (a dense row adds
-exact zeros between them), evaluate the same gain expression with the
-same operations and break ties toward the lowest cluster id, so they
-choose the same moves bit for bit.
+its rows once, when it is built. A visit sees its candidate clusters in
+one of two forms. At most ``SHORT_ROW`` (128) candidates come as a dict
+{cluster: weight} and are scored with Python scalars: a CSR row of at
+most ``SHORT_ROW`` stored entries besides the self-loop, accumulated
+entry by entry, so a visit costs time in its row length, not in n; and a
+dense row while at most ``SHORT_ROW`` clusters are non-empty, read from
+its bincount at their ids. Otherwise a row is binned by one bincount into
+the full per-cluster sums array (a dense row against the whole
+assignment, with no index gather) and scored as one array with a masked
+``argmax``. Both forms add each cluster's weights in row order starting
+from 0.0 (a dense row adds exact zeros between them), leave out the
+clusters whose weights sum to zero, evaluate the same gain expression
+with the same operations and break ties toward the lowest cluster id, so
+they choose the same moves bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from scipy import sparse
 
 from .reduction import ReducedGraph
 
-# Longest row kept in the dict form (see the module docstring).
+# Most candidate clusters a visit scores with Python scalars, in the dict
+# form (see the module docstring).
 SHORT_ROW = 128
 # Smallest gain that justifies a move (floating-point noise floor).
 MIN_GAIN = 1e-9
@@ -151,8 +155,9 @@ class ModularityContext:
     """Mutable cluster statistics supporting incremental move evaluation.
 
     Tracks, for one ReducedGraph and a current assignment, each cluster's
-    total degree and size. :meth:`local_moving` mutates it through
-    :meth:`move`; reads are safe between mutations.
+    total degree and size, and the number of non-empty clusters.
+    :meth:`local_moving` mutates it through :meth:`move`; reads are safe
+    between mutations.
     """
 
     def __init__(self, graph, partition: Partition | None = None):
@@ -183,6 +188,11 @@ class ModularityContext:
             self.sigma_tot = aggregate(graph, partition).node_degrees
             self.sizes = partition.cluster_sizes.copy()
         self._empty_ids: list[int] = []
+        # Non-empty clusters: their count, kept by ``move``, and their ids,
+        # read off ``sizes`` by the first dense visit after a cluster empties
+        # or refills.
+        self.clusters = int(np.count_nonzero(self.sizes))
+        self._cluster_ids = None
 
     def row(self, node):
         """Column ids and weights of ``node``'s row, self-loop excluded.
@@ -197,15 +207,23 @@ class ModularityContext:
     def neighbor_cluster_weights(self, node):
         """Edge weight from ``node`` into each cluster, self-loop excluded.
 
-        A CSR row of at most ``SHORT_ROW`` stored entries gives a dict
+        A CSR row of at most ``SHORT_ROW`` stored entries, and a dense row
+        while at most ``SHORT_ROW`` clusters are non-empty, give a dict
         {cluster id: weight} that leaves out a cluster whose weights sum to
-        zero. Any other row gives the per-cluster sums array from one
-        bincount, long enough to hold the node's own cluster; a cluster not
-        adjacent to the node reads 0.
+        zero; a dense row's dict lists the clusters in id order. Any other
+        row gives the per-cluster sums array from one bincount, long enough
+        to hold the node's own cluster; a cluster not adjacent to the node
+        reads 0.
         """
         cols, weights = self.row(node)
         if cols is None:
-            return np.bincount(self.assignment, weights=weights)
+            sums = np.bincount(self.assignment, weights=weights)
+            if self.clusters > SHORT_ROW:
+                return sums
+            ids = self._cluster_ids
+            if ids is None:
+                ids = self._cluster_ids = np.flatnonzero(self.sizes)
+            return {c: w for c, w in zip(ids.tolist(), sums.take(ids).tolist()) if w}
         labels = self.assignment.take(cols)
         if cols.size <= SHORT_ROW:
             acc = {}
@@ -225,10 +243,16 @@ class ModularityContext:
         self.sigma_tot[frm] -= k
         self.sigma_tot[to] += k
         self.assignment[node] = to
-        self.sizes[frm] -= 1
-        self.sizes[to] += 1
-        if self.sizes[frm] == 0:
+        sizes = self.sizes
+        if sizes[to] == 0:
+            self.clusters += 1
+            self._cluster_ids = None
+        sizes[frm] -= 1
+        sizes[to] += 1
+        if sizes[frm] == 0:
             heapq.heappush(self._empty_ids, int(frm))
+            self.clusters -= 1
+            self._cluster_ids = None
 
     def first_empty_cluster(self) -> int:
         """Lowest currently empty cluster id, or -1 when none exists."""

@@ -10,6 +10,7 @@ into classes, which doubles as the ground-truth clustering.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,10 @@ def default_size_buckets(n: int) -> tuple[tuple[float, int, int], ...]:
 
 def _bucket_quotas(buckets, m):
     fractions = [f for f, _, _ in buckets]
+    if not all(0.0 <= f < np.inf for f in fractions):
+        raise ValueError("size_buckets fractions must be finite and non-negative")
     if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("bucket fractions must sum to 1")
+        raise ValueError("size_buckets fractions must sum to 1")
     quotas = [int(f * m) for f in fractions[:-1]]
     last = m - sum(quotas)
     if last < 0:
@@ -71,8 +74,9 @@ def generate(config: GenConfig) -> tuple[Hypergraph, Partition]:
     n = int(config.n)
     if n < 10:
         raise ValueError("need at least 10 nodes")
-    if not 2 <= config.classes <= n:
-        raise ValueError("classes must lie in [2, n]")
+    classes = config.classes
+    if not isinstance(classes, numbers.Integral) or not 2 <= classes <= n:
+        raise ValueError("classes must be an integer in [2, n]")
     if not 0.0 <= config.homophily_deviation <= 1.0:
         raise ValueError("homophily_deviation must lie in [0, 1]")
     if not 0 < config.edge_factor < np.inf:

@@ -305,6 +305,7 @@ def run_both(graph, init=None, order=None, pre_moves=()):
     assert got == want
     for attr in ("assignment", "sigma_tot", "sizes"):
         assert same_bits(getattr(ours, attr), getattr(ref, attr)), attr
+    assert ours.clusters == np.count_nonzero(ours.sizes)
     return ours, into_empty
 
 
@@ -386,6 +387,24 @@ def spare_ties_graph(entries):
     assert graph.total_weight_2m == 1024.0
     labels = np.array([0, 0, 1, 3] + [2] * entries)
     return graph, Partition(labels), [(2, 3)]
+
+
+def spare_refill_graph(layout):
+    """Node 0 (a self-loop and one unit edge, to node 2) shares cluster 0
+    with node 1, which has only a self-loop. Node 2 has no edge into its
+    own cluster 1, which holds the heavy triangle {3, 4, 5}. Once moving
+    the singleton 6 has emptied cluster 2, node 0 leaves for it, and node 2
+    then follows node 0 into the refilled cluster, whose weight only a
+    visit that counts cluster 2 as non-empty again can see."""
+    adjacency = np.zeros((7, 7))
+    for i, j, w in ((0, 2, 1.0), (3, 4, 30.0), (3, 5, 30.0), (4, 5, 30.0),
+                    (3, 6, 1.0)):
+        adjacency[i, j] = adjacency[j, i] = w
+    adjacency[0, 0], adjacency[1, 1] = 10.0, 4.0
+    if layout == "csr":
+        adjacency = sparse.csr_matrix(adjacency)
+    labels = [0, 0, 1, 1, 1, 1, 2]
+    return ReducedGraph(adjacency), Partition(labels), [(6, 1)]
 
 
 def far_cluster_graph(layout):
@@ -491,6 +510,14 @@ class TestLocalMovingMatchesReference:
         assert (graph.dense is None) == (layout == "csr")
         ctx, _ = run_both(graph, init=init)
         assert ctx.assignment[0] == 2
+
+    @pytest.mark.parametrize("layout", ["csr", "dense"])
+    def test_refilled_spare_cluster_is_a_candidate(self, layout):
+        graph, init, pre_moves = spare_refill_graph(layout)
+        assert (graph.dense is None) == (layout == "csr")
+        ctx, into_empty = run_both(graph, init=init, pre_moves=pre_moves)
+        assert into_empty[:2] == [True, False]
+        assert ctx.assignment.tolist() == [2, 0, 2, 1, 1, 1, 1]
 
     @pytest.mark.parametrize("entries", [2, 2 * SHORT_ROW])
     def test_spare_cluster_wins_a_tie_by_lower_id(self, entries):

@@ -154,6 +154,66 @@ class TestNeighborClusterWeights:
         for cluster, weight in ((0, 0.0), (1, 0.0), (2, (others + 1) // 2)):
             assert weight_to(neighbors, cluster) == weight
 
+    @staticmethod
+    def dense_graph_and_labels(clusters):
+        """A dense layout over SHORT_ROW + 20 nodes with random weights and
+        labels whose ids 0..clusters-1 all occur; node 0 has no edge into
+        cluster 1, so one bincount entry sums to zero."""
+        rng = np.random.default_rng(clusters)
+        n = SHORT_ROW + 20
+        adjacency = np.triu(rng.uniform(0.5, 2.0, size=(n, n)), 1)
+        adjacency[rng.random((n, n)) < 0.5] = 0.0
+        adjacency += adjacency.T
+        labels = np.concatenate(
+            [np.arange(clusters), rng.integers(0, clusters, size=n - clusters)]
+        )
+        adjacency[0, labels == 1] = adjacency[labels == 1, 0] = 0.0
+        return ReducedGraph(adjacency), labels
+
+    @pytest.mark.parametrize("clusters", [4, SHORT_ROW, SHORT_ROW + 1])
+    def test_dense_row_forms(self, clusters):
+        # While at most SHORT_ROW clusters are non-empty, a dense row gives
+        # the nonzero entries of its bincount as a dict, else the array.
+        graph, labels = self.dense_graph_and_labels(clusters)
+        assert graph.dense is not None
+        ctx = ModularityContext(graph, Partition(labels))
+        sums = np.bincount(labels, weights=graph.dense[0])
+        assert sums[1] == 0.0
+        neighbors = ctx.neighbor_cluster_weights(0)
+        if clusters <= SHORT_ROW:
+            nonzero = np.flatnonzero(sums).tolist()
+            assert neighbors == {c: sums[c] for c in nonzero}
+            assert list(neighbors) == nonzero
+        else:
+            assert bits(neighbors).tolist() == bits(sums).tolist()
+
+    def test_dense_row_form_follows_moves(self):
+        # Emptying a cluster and refilling it switches the form both ways.
+        # The last step returns to SHORT_ROW non-empty clusters, but not to
+        # the same ones as the first.
+        graph, labels = self.dense_graph_and_labels(SHORT_ROW + 1)
+        ctx = ModularityContext(graph, Partition(labels))
+        assert ctx.clusters == SHORT_ROW + 1
+        row = graph.dense[0]
+        sizes = np.bincount(labels)
+        first, second = [
+            v for v in range(1, graph.n) if sizes[labels[v]] == 1 and row[v]
+        ][:2]
+        steps = [
+            (first, labels[0], SHORT_ROW),
+            (first, labels[first], SHORT_ROW + 1),
+            (second, labels[0], SHORT_ROW),
+        ]
+        for node, to, count in steps:
+            ctx.move(node, int(to))
+            assert ctx.clusters == count
+            neighbors = ctx.neighbor_cluster_weights(0)
+            sums = np.bincount(ctx.assignment, weights=row)
+            if count <= SHORT_ROW:
+                assert neighbors == {c: sums[c] for c in np.flatnonzero(sums)}
+            else:
+                assert bits(neighbors).tolist() == bits(sums).tolist()
+
 
 class TestContextRows:
     """A context reads the graph's rows without their diagonal entries."""

@@ -101,6 +101,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="classes"):
             generate(GenConfig(n=20, classes=1))
 
+    @pytest.mark.parametrize("classes", [2.5, 2.0, "2"])
+    def test_classes_must_be_an_integer(self, classes):
+        with pytest.raises(ValueError, match="classes must be an integer"):
+            generate(GenConfig(n=20, classes=classes))
+
+    def test_classes_accepts_numpy_integers(self):
+        _, truth = generate(GenConfig(n=20, classes=np.int64(3)))
+        assert truth.c == 3
+
+    @pytest.mark.parametrize(
+        "buckets",
+        [((-0.5, 2, 3), (1.5, 2, 3)),
+         ((float("nan"), 2, 3), (1.0, 2, 3)),
+         ((1.0, 2, 3), (float("inf"), 2, 3))],
+        ids=["negative", "nan", "inf"],
+    )
+    def test_fractions_finite_and_non_negative(self, buckets):
+        with pytest.raises(ValueError, match="size_buckets fractions"):
+            generate(GenConfig(n=20, edge_factor=1.0, size_buckets=buckets))
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             generate(GenConfig(n=20, seed=-1))
