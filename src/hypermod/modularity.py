@@ -27,6 +27,15 @@ from 0.0 (a dense row adds exact zeros between them), leave out the
 clusters whose weights sum to zero, evaluate the same gain expression
 with the same operations and break ties toward the lowest cluster id, so
 they choose the same moves bit for bit.
+
+A sweep skips the visits that cannot move a node (the revisit rule). A
+visit that moves nothing records how far the node's gains would have to
+rise before one could pass ``MIN_GAIN``. Each later move raises a bound on
+that rise by the moved node's weight to the node and its degree, and the
+node is visited again once the bound reaches the record, or at once when
+the lowest empty cluster changes. A skipped visit would have moved
+nothing, so the moves are those of a loop that visits every node in every
+sweep (the proof is in ``local_moving``).
 """
 
 from __future__ import annotations
@@ -43,6 +52,9 @@ from .reduction import ReducedGraph
 SHORT_ROW = 128
 # Smallest gain that justifies a move (floating-point noise floor).
 MIN_GAIN = 1e-9
+# Margin by which local moving's revisit bound stays clear of MIN_GAIN: far
+# above the rounding of one gain (a few ulps of values of size at most 4).
+SLACK = 1e-12
 
 __all__ = [
     "Partition",
@@ -53,9 +65,11 @@ __all__ = [
 
 
 def _canonical_labels(labels):
-    """Relabel to dense ids 0..c-1 in order of first appearance."""
-    labels = np.asarray(labels, dtype=np.int64)
-    uniq, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    """Relabel to dense ids 0..c-1 in order of first appearance, comparing
+    the labels by their own values (0.2 and 0.7 stay distinct)."""
+    uniq, first, inverse = np.unique(
+        np.asarray(labels), return_index=True, return_inverse=True
+    )
     order = np.argsort(first, kind="stable")
     rank = np.empty(uniq.size, dtype=np.int64)
     rank[order] = np.arange(uniq.size)
@@ -66,7 +80,11 @@ class Partition:
     """Assignment of every node to one of c clusters with dense ids 0..c-1."""
 
     def __init__(self, assignment):
-        assignment = np.asarray(assignment, dtype=np.int64).copy()
+        given = np.asarray(assignment)
+        with np.errstate(invalid="ignore"):  # nan and inf fail the check below
+            assignment = given.astype(np.int64)
+        if not np.array_equal(assignment, given):
+            raise ValueError("cluster ids must be integers")
         if assignment.ndim != 1 or assignment.size == 0:
             raise ValueError("assignment must be a nonempty 1-d array")
         if assignment.min() < 0:
@@ -271,6 +289,32 @@ class ModularityContext:
         if it exceeds ``MIN_GAIN``; equal gains go to the lowest cluster id
         (an array row's ``argmax`` takes the first maximum, and its spare
         cluster is scored by the scalar loop).
+
+        A node is revisited only when the moves since its last visit could
+        have lifted one of its gains above ``MIN_GAIN`` (weights and degrees
+        are nonnegative). Moving u (degree k) from cluster a to c gains
+        2(w_c - s_a)/2m - 2k(tot_c - tot_a + k)/(2m)², with w_c and s_a u's
+        weight into c and into a, self-loop excluded.
+
+        - A move of another node v (degree k_v, weight A_uv to u) changes
+          each w_c - s_a by at most 2·A_uv and each tot_c - tot_a by at most
+          2·k_v, so each gain of u by at most 4·A_uv/2m + 4k·k_v/(2m)².
+          ``drift[u]`` sums 4·A_uv/2m and ``moved`` sums k_v over the moves
+          so far, so the growth of u's ``reach`` since a visit bounds the
+          rise of each of its gains.
+        - A cluster that u was not adjacent to at the visit had w_c = 0 and
+          tot_c ≥ 0, so a gain of at most V = 2k(tot_a - k)/(2m)² - 2·s_a/2m,
+          the gain toward a cluster with no weight and total 0. That covers
+          the clusters that become adjacent later, and the spare: an empty
+          cluster's total is 0 up to the rounding its last node left
+          behind. A new lowest empty cluster still clears every limit.
+
+        A visit that moves nothing stores ``limit[u]`` = its reach +
+        ``MIN_GAIN`` - max(its gains, V) - ``SLACK``, and u is skipped while
+        its reach stays below that. ``SLACK`` covers the rounding of the
+        gains and of an empty cluster's total, so a skipped visit would have
+        moved nothing: the moves, and the sweep that ends the call, are
+        those of visiting every node in every sweep.
         """
         assignment = self.assignment
         degrees = self.degrees
@@ -279,26 +323,34 @@ class ModularityContext:
         two_m = self.two_m
         two_m_sq = two_m * two_m
         tot_of = sigma_tot.item
+        # The revisit rule's state, for this call only: 4/2m · each node's
+        # weight to the nodes that moved, their total degree, and the reach
+        # at which each node must be visited again (-inf: at once).
+        drift = np.zeros(assignment.size)
+        moved = 0.0
+        limit = np.full(assignment.size, -np.inf)
+        spare = self.first_empty_cluster()
         total = 0
         order = order.tolist()
         while True:
             moves = 0
             for u in order:
+                k = degrees.item(u)
+                reach = drift.item(u) + 4.0 * k * moved / two_m_sq
+                if reach < limit.item(u):
+                    continue
                 neighbors = self.neighbor_cluster_weights(u)
                 a = assignment.item(u)
-                k = degrees.item(u)
                 k2 = 2.0 * k
                 tot_a_without = tot_of(a) - k
                 best, best_gain = -1, MIN_GAIN
                 if isinstance(neighbors, dict):
-                    if not neighbors:
-                        continue
+                    adjacent = bool(neighbors)
                     s_a = neighbors.pop(a, 0.0)
                     scalar = neighbors
+                    top = -np.inf
                 else:
                     sums = neighbors
-                    if not np.count_nonzero(sums):
-                        continue
                     s_a = sums.item(a)
                     gains = (
                         2.0 * (sums - s_a) / two_m
@@ -308,23 +360,38 @@ class ModularityContext:
                     # scores -2k²/(2m)² ≤ 0, below MIN_GAIN, so it needs no mask.
                     gains[sums == 0.0] = -np.inf
                     i = int(gains.argmax())
-                    if gains[i] > MIN_GAIN:
-                        best, best_gain = i, gains[i]
+                    top = gains.item(i)
+                    adjacent = top > -np.inf
+                    if top > MIN_GAIN:
+                        best, best_gain = i, top
                     scalar = {}
-                if sizes.item(a) > 1:
-                    spare = self.first_empty_cluster()
-                    if spare >= 0:
-                        scalar[spare] = 0.0
+                if adjacent and spare >= 0 and sizes.item(a) > 1:
+                    scalar[spare] = 0.0
                 for c, w in scalar.items():
                     gain = (
                         2.0 * (w - s_a) / two_m
                         - k2 * (tot_of(c) - tot_a_without) / two_m_sq
                     )
+                    if gain > top:
+                        top = gain
                     if gain > best_gain or (gain == best_gain and c < best):
                         best, best_gain = c, gain
-                if best >= 0:
-                    self.move(u, best)
-                    moves += 1
+                if best < 0:
+                    far = k2 * tot_a_without / two_m_sq - 2.0 * s_a / two_m
+                    limit[u] = (MIN_GAIN - max(top, far) - SLACK) + reach
+                    continue
+                self.move(u, best)
+                moves += 1
+                moved += k
+                limit[u] = -np.inf
+                cols, weights = self.row(u)
+                if cols is None:
+                    drift += (4.0 / two_m) * weights
+                else:
+                    drift[cols] += (4.0 / two_m) * weights
+                if self.first_empty_cluster() != spare:
+                    spare = self.first_empty_cluster()
+                    limit.fill(-np.inf)
             total += moves
             if moves == 0:
                 return total

@@ -189,9 +189,12 @@ def _expand_split(g: Hypergraph, Hs, edge_scale: np.ndarray, large: np.ndarray):
     bound on the entries picks the layout. At 2/3 fill or more, and at most
     ``DENSE_NODE_LIMIT`` nodes, the blocks are written into one n x n array
     and each block's row sums are taken over its nonzero cells, as CSR would
-    add them. Otherwise each block is scanned straight into CSR arrays sized
-    by the bound, and no n x n temporary is formed. Both layouts store the
-    same values.
+    add them. There the sparse products of all blocks run first, then the
+    BLAS products, then the row sums: BLAS threads left idle between two
+    calls spin, so a single-threaded step run between them costs twice its
+    time in CPU. Otherwise each block is scanned straight into CSR arrays
+    sized by the bound, and no n x n temporary is formed. Both layouts store
+    the same values.
     """
     n = g.n
     H = g.incidence()
@@ -204,33 +207,32 @@ def _expand_split(g: Hypergraph, Hs, edge_scale: np.ndarray, large: np.ndarray):
     bound = np.minimum(n - 1, H @ (g.edge_degrees - 1.0)).astype(np.int64)
     capacity = int(bound.sum())
     rows = max(1, _BLOCK_CELLS // n)
-    out = None
+    blocks = [(r0, min(n, r0 + rows)) for r0 in range(0, n, rows)]
     if 3 * capacity >= 2 * n * n and n <= DENSE_NODE_LIMIT:
         out, degrees = np.empty((n, n)), np.empty(n)
-    else:
-        index_dtype = np.int32 if capacity < 2**31 else np.int64
-        data = np.empty(capacity)
-        indices = np.empty(capacity, dtype=index_dtype)
-        indptr = np.zeros(n + 1, dtype=index_dtype)
-        columns = np.broadcast_to(np.arange(n, dtype=index_dtype), (rows, n)).copy()
+        for r0, r1 in blocks:
+            (small_left[r0:r1] @ small_right).toarray(out=out[r0:r1])
+        for r0, r1 in blocks:
+            out[r0:r1] += (dense[r0:r1] * dense_scale) @ dense.T
+        np.fill_diagonal(out, 0.0)
+        for r0, r1 in blocks:
+            degrees[r0:r1] = _row_sums(out[r0:r1])
+        return ReducedGraph(out, degrees)
+    index_dtype = np.int32 if capacity < 2**31 else np.int64
+    data = np.empty(capacity)
+    indices = np.empty(capacity, dtype=index_dtype)
+    indptr = np.zeros(n + 1, dtype=index_dtype)
+    columns = np.broadcast_to(np.arange(n, dtype=index_dtype), (rows, n)).copy()
     end = 0
-    for r0 in range(0, n, rows):
-        r1 = min(n, r0 + rows)
-        block = (small_left[r0:r1] @ small_right).toarray(
-            out=None if out is None else out[r0:r1]
-        )
+    for r0, r1 in blocks:
+        block = (small_left[r0:r1] @ small_right).toarray()
         block += (dense[r0:r1] * dense_scale) @ dense.T
         block[np.arange(r1 - r0), np.arange(r0, r1)] = 0.0
-        if out is not None:
-            degrees[r0:r1] = _row_sums(block)
-            continue
         mask = block != 0.0
         start, end = end, end + int(np.count_nonzero(mask))
         data[start:end] = block[mask]
         indices[start:end] = columns[: r1 - r0][mask]
         indptr[r0 + 1 : r1 + 1] = start + np.cumsum(np.count_nonzero(mask, axis=1))
-    if out is not None:
-        return ReducedGraph(out, degrees)
     # Shrinking in place releases the unused tail without a second copy.
     data.resize(end, refcheck=False)
     indices.resize(end, refcheck=False)

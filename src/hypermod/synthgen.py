@@ -71,7 +71,10 @@ def generate(config: GenConfig) -> tuple[Hypergraph, Partition]:
     drawn size exceeds its class falls back to sampling from all nodes, so
     every size stays inside its bucket's range.
     """
-    n = int(config.n)
+    n = config.n
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    n = int(n)
     if n < 10:
         raise ValueError("need at least 10 nodes")
     classes = config.classes
@@ -90,6 +93,10 @@ def generate(config: GenConfig) -> tuple[Hypergraph, Partition]:
         else default_size_buckets(n)
     )
     for _, lo, hi in buckets:
+        if not all(isinstance(b, numbers.Integral) for b in (lo, hi)):
+            raise ValueError(
+                f"size_buckets size bounds must be integers, got [{lo}, {hi}]"
+            )
         if lo < 2 or hi > n or lo > hi:
             raise ValueError(
                 f"size range [{lo}, {hi}] is empty or invalid for n={n}"

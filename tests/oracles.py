@@ -204,15 +204,17 @@ def local_moving_reference(ctx, order, min_gain):
     alone, the lowest empty cluster inserted in id order) is scored with
     one array expression and the first maximum wins. Reads the row
     through its own bincount scan; uses ``ctx`` only for the tracked sums,
-    the empty-cluster heap and ``move``.
+    the empty-cluster heap and ``move``. Visits every node of every
+    sweep; returns the move count and the visit count.
     """
     assignment = ctx.assignment
     degrees = ctx.degrees
     sigma_tot = ctx.sigma_tot
     two_m = ctx.two_m
-    total = 0
+    total = visits = 0
     while True:
         moves = 0
+        visits += len(order)
         for u in order:
             a = assignment[u]
             cand, weights = _neighbor_cluster_weights_reference(ctx, u)
@@ -242,7 +244,7 @@ def local_moving_reference(ctx, order, min_gain):
                 moves += 1
         total += moves
         if moves == 0:
-            return total
+            return total, visits
 
 
 def _best_bisection_reference(block, k, two_m, skip_side=None):

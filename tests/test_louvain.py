@@ -284,29 +284,42 @@ def run_both(graph, init=None, order=None, pre_moves=()):
 
     ``pre_moves`` are (node, cluster) moves applied to both contexts first,
     e.g. to leave an empty cluster behind. Asserts that the move counts and
-    the tracked state agree bit for bit, and returns the library's context
-    and the target-was-empty flag of each move it made.
+    the tracked state agree bit for bit, and that every node is visited
+    again after the last move that changed the lowest empty cluster.
+    Returns the library's context, the target-was-empty flag of each move
+    it made, and the number of visits it skipped: the reference visits
+    every node of every sweep.
     """
     ours, ref = ModularityContext(graph, init), ModularityContext(graph, init)
     for ctx in (ours, ref):
         for node, to in pre_moves:
             move_node(ctx, node, to)
-    into_empty = []
-    move = ours.move
+    visited, into_empty, spare_changes = [], [], [0]
+    visit, move = ours.neighbor_cluster_weights, ours.move
+
+    def recording_visit(node):
+        visited.append(node)
+        return visit(node)
 
     def recording_move(node, to):
         into_empty.append(bool(ours.sizes[to] == 0))
+        spare = ours.first_empty_cluster()
         move(node, to)
+        if ours.first_empty_cluster() != spare:
+            spare_changes.append(len(visited))
 
+    ours.neighbor_cluster_weights = recording_visit
     ours.move = recording_move
     order = np.arange(graph.n) if order is None else order
     got = ours.local_moving(order)
-    want = local_moving_reference(ref, order, MIN_GAIN)
+    want, visits = local_moving_reference(ref, order, MIN_GAIN)
     assert got == want
     for attr in ("assignment", "sigma_tot", "sizes"):
         assert same_bits(getattr(ours, attr), getattr(ref, attr)), attr
     assert ours.clusters == np.count_nonzero(ours.sizes)
-    return ours, into_empty
+    assert set(visited[spare_changes[-1]:]) == set(order.tolist())
+    assert len(visited) <= visits
+    return ours, into_empty, visits - len(visited)
 
 
 def generated(seed, **settings):
@@ -434,12 +447,15 @@ class TestLocalMovingMatchesReference:
     def test_sparse_generator(self, seed):
         graph = sparse_generated(seed)
         assert row_lengths(graph).max() <= SHORT_ROW
-        run_both(graph)
+        _, _, skipped = run_both(graph)
+        assert skipped
 
     def test_dense_generator_long_rows(self):
         graph = generated(5, n=250)
+        assert graph.dense is not None
         assert row_lengths(graph).min() > SHORT_ROW
-        run_both(graph)
+        _, _, skipped = run_both(graph)
+        assert skipped
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_rows_straddling_the_cutoff(self, seed):
@@ -458,7 +474,7 @@ class TestLocalMovingMatchesReference:
     def test_aggregated_graphs_with_self_loops(self, make):
         graph = make()
         for _ in range(3):
-            ctx, _ = run_both(graph)
+            ctx, _, _ = run_both(graph)
             part = Partition.from_labels(ctx.assignment)
             if part.c == graph.n:
                 break
@@ -467,16 +483,40 @@ class TestLocalMovingMatchesReference:
             # From singletons, and from a partition with clusters to leave.
             run_both(graph, init=Partition(np.arange(graph.n) // 2))
 
+    @pytest.mark.parametrize("make", [lambda: sparse_generated(6),
+                                      lambda: straddling_graph(7)],
+                             ids=["sparse", "straddling"])
+    def test_skips_on_an_aggregated_level(self, make):
+        graph = make()
+        ctx, _, _ = run_both(graph)
+        graph = aggregate(graph, Partition.from_labels(ctx.assignment))
+        assert graph.self_loops.any() and graph.n > 10
+        for init in (None, Partition(np.arange(graph.n) // 2)):
+            _, _, skipped = run_both(graph, init=init)
+            assert skipped
+
     @pytest.mark.parametrize("seed", [9, 10, 11])
     def test_shuffled_orders(self, seed):
         rng = np.random.default_rng(seed)
         for graph in (sparse_generated(seed, n=200), straddling_graph(seed)):
-            run_both(graph, order=rng.permutation(graph.n))
+            _, _, skipped = run_both(graph, order=rng.permutation(graph.n))
+            assert skipped
 
     def test_initial_partition(self):
         graph = straddling_graph(12)
         labels = np.random.default_rng(12).integers(0, 15, size=graph.n)
         run_both(graph, init=Partition.from_labels(labels))
+
+    def test_random_initial_partitions_of_small_graphs(self):
+        # Misplaced nodes whose best target is a cluster they are not yet
+        # adjacent to: a skip bound that ignores such clusters moves fewer.
+        skipped = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            graph = sparse_small_graph(rng, n_max=40)
+            labels = rng.integers(0, max(2, graph.n // 3), size=graph.n)
+            skipped += run_both(graph, init=Partition.from_labels(labels))[2]
+        assert skipped
 
     @pytest.mark.parametrize("n", [6, 12, 13])
     def test_ties_on_a_cycle(self, n):
@@ -501,29 +541,30 @@ class TestLocalMovingMatchesReference:
     def test_spare_cluster_wins(self, links):
         graph, init, pre_moves = spare_wins_graph(links)
         assert (row_lengths(graph)[0] > SHORT_ROW) == (links > SHORT_ROW)
-        ctx, into_empty = run_both(graph, init=init, pre_moves=pre_moves)
+        ctx, into_empty, _ = run_both(graph, init=init, pre_moves=pre_moves)
         assert into_empty[0]
 
     @pytest.mark.parametrize("layout", ["csr", "dense"])
     def test_non_adjacent_cluster_does_not_compete(self, layout):
         graph, init = far_cluster_graph(layout)
         assert (graph.dense is None) == (layout == "csr")
-        ctx, _ = run_both(graph, init=init)
+        ctx, _, _ = run_both(graph, init=init)
         assert ctx.assignment[0] == 2
 
     @pytest.mark.parametrize("layout", ["csr", "dense"])
     def test_refilled_spare_cluster_is_a_candidate(self, layout):
         graph, init, pre_moves = spare_refill_graph(layout)
         assert (graph.dense is None) == (layout == "csr")
-        ctx, into_empty = run_both(graph, init=init, pre_moves=pre_moves)
+        ctx, into_empty, skipped = run_both(graph, init=init, pre_moves=pre_moves)
         assert into_empty[:2] == [True, False]
         assert ctx.assignment.tolist() == [2, 0, 2, 1, 1, 1, 1]
+        assert skipped
 
     @pytest.mark.parametrize("entries", [2, 2 * SHORT_ROW])
     def test_spare_cluster_wins_a_tie_by_lower_id(self, entries):
         graph, init, pre_moves = spare_ties_graph(entries)
         assert (row_lengths(graph)[0] > SHORT_ROW) == (entries > SHORT_ROW)
-        ctx, into_empty = run_both(graph, init=init, pre_moves=pre_moves)
+        ctx, into_empty, _ = run_both(graph, init=init, pre_moves=pre_moves)
         assert into_empty[0]
 
 

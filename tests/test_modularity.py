@@ -52,6 +52,29 @@ class TestPartition:
         assert p.c == 3
         assert np.array_equal(p.cluster_sizes, [3, 2, 1])
 
+    def test_from_labels_keeps_non_integer_labels_distinct(self):
+        p = Partition.from_labels([0.2, 0.7, 1.5, 0.7])
+        assert np.array_equal(p.assignment, [0, 1, 2, 1])
+        assert Partition.from_labels(["b", "a", "b"]) == Partition([0, 1, 0])
+
+    def test_from_labels_integer_inputs_unchanged(self):
+        for labels in ([3, -1, 3, 0], np.array([5, 5, 2], dtype=np.int32)):
+            want = np.unique(labels, return_inverse=True)[1]
+            assert same_clustering(Partition.from_labels(labels), Partition(want))
+        assert np.array_equal(Partition.from_labels([3, -1, 3, 0]).assignment,
+                              [0, 1, 0, 2])
+
+    @pytest.mark.parametrize("ids", [[0.0, 1.9], [0, 0.5], [0, np.nan], [0, np.inf]])
+    def test_non_integral_ids_rejected(self, ids):
+        with pytest.raises(ValueError, match="integers"):
+            Partition(ids)
+
+    def test_integral_ids_of_any_dtype_accepted(self):
+        for ids in ([1.0, 0.0], np.array([1, 0], dtype=np.uint8), [True, False]):
+            p = Partition(ids)
+            assert p.assignment.dtype == np.int64
+            assert np.array_equal(p.assignment, [1, 0])
+
     def test_clusters(self):
         p = Partition([0, 1, 0, 1])
         groups = p.clusters()

@@ -207,6 +207,15 @@ class TestDenseLayout:
             assert rg.dense.shape == csr.shape
             assert np.array_equal(bits(rg.dense), bits(csr))
 
+    def test_csr_build_holds_the_same_values(self, graphs, monkeypatch):
+        # With the dense layout refused, the same blocks are scanned into CSR.
+        monkeypatch.setattr(reduction, "DENSE_NODE_LIMIT", 0)
+        for rg, (seed, n) in zip(graphs, ((0, 200), (1, 300))):
+            csr = generated_reduction(seed, n)
+            assert csr.dense is None
+            assert np.array_equal(bits(rg.dense), bits(csr.adjacency.toarray()))
+            assert np.array_equal(bits(rg.node_degrees), bits(csr.node_degrees))
+
     def test_degrees_equal_the_csr_row_sums(self, graphs):
         for rg in graphs:
             csr = ReducedGraph(rg.adjacency)

@@ -106,6 +106,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="classes must be an integer"):
             generate(GenConfig(n=20, classes=classes))
 
+    @pytest.mark.parametrize("n", [20.7, 20.0, "20"])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            generate(GenConfig(n=n))
+
+    @pytest.mark.parametrize(
+        "buckets", [((1.0, 2.5, 3.5),), ((1.0, 2, 3.0),), ((0.5, 2, 3), (0.5, 2.0, 4))]
+    )
+    def test_size_bounds_must_be_integers(self, buckets):
+        with pytest.raises(ValueError, match="size bounds must be integers"):
+            generate(GenConfig(n=20, size_buckets=buckets))
+
+    def test_numpy_integer_n_and_bounds_accepted(self):
+        g, _ = generate(GenConfig(n=np.int64(20), seed=3))
+        h, _ = generate(GenConfig(n=20, seed=3))
+        assert g == h
+        buckets = ((1.0, np.int32(2), np.int64(3)),)
+        g, _ = generate(GenConfig(n=20, size_buckets=buckets))
+        assert set(g.edge_degrees.tolist()) <= {2, 3}
+
     def test_classes_accepts_numpy_integers(self):
         _, truth = generate(GenConfig(n=20, classes=np.int64(3)))
         assert truth.c == 3
