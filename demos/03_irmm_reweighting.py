@@ -35,11 +35,10 @@ g = Hypergraph(9, edges, weights)
 def describe(label, partition):
     stats = cut_stats(g, partition)
     cut = int(np.sum(stats.relative_sizes < 1.0))
-    splits = [
-        tuple(sorted(c.tolist()))
-        for c in stats.partition_counts
-        if c.size > 1
-    ]
+    # Row e of the pin-count matrix holds edge e's nonzero cluster counts.
+    k = stats.counts
+    rows = [k.data[lo:hi] for lo, hi in zip(k.indptr, k.indptr[1:])]
+    splits = [tuple(sorted(c.tolist())) for c in rows if c.size > 1]
     print(f"{label}: assignment {partition.assignment}, {cut} cut edges {splits}")
 
 

@@ -96,14 +96,10 @@ def cmd_cluster(args) -> int:
     if args.k is not None and args.k < 1:
         raise ValueError("--k must be at least 1")
     louvain_cfg = LouvainConfig(seed=args.seed, shuffle=args.shuffle)
-    irmm_cfg = IrmmConfig(
-        alpha=args.alpha,
-        threshold=args.threshold,
-        max_iters=args.max_iters,
-        louvain=louvain_cfg,
-    )
+    irmm_cfg = None
     if args.method == "irmm":
-        irmm_cfg.validate()
+        irmm_cfg = IrmmConfig(alpha=args.alpha, threshold=args.threshold,
+                              max_iters=args.max_iters, louvain=louvain_cfg)
     g = preprocess(load(args.input))
     truth = None
     if args.truth:

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .evaluate import pin_counts
 from .hypergraph import Hypergraph
 from .louvain import ClusterResult, LouvainConfig, louvain
 from .modularity import Partition
@@ -29,8 +30,8 @@ from .reduction import degree_preserving_reduce
 
 logger = logging.getLogger(__name__)
 
-# ``update_weights`` builds its edge x cluster count table in blocks of at
-# most this many cells (or one row), so memory stays linear in m and c.
+# ``update_weights`` densifies the edge x cluster count table in blocks of
+# at most this many cells (or one row), so memory stays linear in m and c.
 _TABLE_CELLS = 2**18
 
 __all__ = [
@@ -60,7 +61,7 @@ class IrmmConfig:
     max_iters: int = 50
     louvain: LouvainConfig = field(default_factory=LouvainConfig)
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if not self.threshold > 0:
@@ -101,24 +102,21 @@ def update_weights(
 
     Returns ``alpha * weights + (1 - alpha) * w'``, where w'(e) is the
     formula above; it depends only on the partition, never on the edge's
-    current weight. A block of hyperedges at a time (at most
-    ``_TABLE_CELLS`` cells) gets a table of its node counts in every
-    cluster, zeros included, and each row's 1/(k+1) terms are summed along
-    the row in cluster order. No m x c table is formed.
+    current weight. The counts are the rows of ``pin_counts``, densified a
+    block of hyperedges at a time (at most ``_TABLE_CELLS`` cells) with
+    every cluster's count, zeros included, and each row's 1/(k+1) terms
+    are summed along the row in cluster order. No m x c table is formed.
     """
     c, m = partition.c, g.m
+    if np.shape(weights) != (m,):
+        raise ValueError("need exactly one weight per hyperedge")
+    counts = pin_counts(g, partition)
     delta = g.edge_degrees
-    ends = np.cumsum(delta)
     rows = max(1, _TABLE_CELLS // c)
     wprime = np.empty(m)
     for e0 in range(0, m, rows):
         e1 = min(m, e0 + rows)
-        pins = g.pins[ends[e0] - delta[e0] : ends[e1 - 1]]
-        edge_of = np.repeat(np.arange(e1 - e0), delta[e0:e1])
-        counts = np.bincount(
-            edge_of * c + partition.assignment[pins], minlength=(e1 - e0) * c
-        ).reshape(e1 - e0, c)
-        inv = 1.0 / (counts + 1.0)
+        inv = 1.0 / (counts[e0:e1].toarray() + 1.0)
         wprime[e0:e1] = inv.sum(axis=1) * (delta[e0:e1] + c) / m
     return alpha * weights + (1.0 - alpha) * wprime
 
@@ -132,7 +130,6 @@ def irmm(g: Hypergraph, config: IrmmConfig | None = None) -> ClusterResult:
     threshold within ``max_iters`` rounds, ``converged`` is False.
     """
     cfg = config if config is not None else IrmmConfig()
-    cfg.validate()
     weights = np.array(g.weights, dtype=np.float64)
     trace: list[IrmmIteration] = []
     converged = False

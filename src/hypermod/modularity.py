@@ -119,19 +119,24 @@ class Partition:
         return f"Partition(n={len(self)}, c={self.c})"
 
 
+def membership(labels, c):
+    """The n x c one-hot membership matrix M of ``labels`` (CSR, float ones)."""
+    n = labels.size
+    return sparse.csr_matrix((np.ones(n), labels, np.arange(n + 1)), shape=(n, c))
+
+
 def cluster_matrix(adjacency, labels, c):
     """The c x c cluster matrix Mᵀ·(A·M): CSR for a sparse A, an array for
     a dense one.
 
-    M is the n x c one-hot membership matrix of ``labels``. Entry (a, b)
-    is the total adjacency weight from cluster a to cluster b, so the
-    diagonal holds each cluster's internal weight and the row sums its
-    volume. A sparse A is multiplied as A·M first, which keeps it in CSR
-    without a copy. A dense A is read only by the sparse Mᵀ, as
-    Mᵀ·(Mᵀ·A)ᵀ, which equals Mᵀ·A·M because A is symmetric.
+    M is the ``membership`` of ``labels``. Entry (a, b) is the total
+    adjacency weight from cluster a to cluster b, so the diagonal holds
+    each cluster's internal weight and the row sums its volume. A sparse A
+    is multiplied as A·M first, which keeps it in CSR without a copy. A
+    dense A is read only by the sparse Mᵀ, as Mᵀ·(Mᵀ·A)ᵀ, which equals
+    Mᵀ·A·M because A is symmetric.
     """
-    n = labels.size
-    member = sparse.csr_matrix((np.ones(n), labels, np.arange(n + 1)), shape=(n, c))
+    member = membership(labels, c)
     if isinstance(adjacency, np.ndarray):
         member_t = member.T.tocsr()
         return member_t @ (member_t @ adjacency).T

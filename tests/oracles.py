@@ -548,6 +548,26 @@ def cut_stats_by_edge(g, partition, bins_count=10):
     return counts_per_edge, rel, hist
 
 
+def modularity_from_pin_counts(g, labels):
+    """Modularity of ``g``'s degree-preserving reduction under ``labels``,
+    read from each hyperedge's per-cluster node counts k_eC alone.
+
+    The reduction is H·S·Hᵀ minus its diagonal with s_e = w_e/(δ_e − 1),
+    so cluster C holds internal weight Σ_e s_e·k_eC(k_eC − 1) and volume
+    Σ_e w_e·k_eC, and Q = Σ_C internal_C/2m − Σ_C (vol_C/2m)².
+    """
+    labels = np.asarray(labels)
+    c = int(labels.max()) + 1
+    internal = np.zeros(c)
+    volume = np.zeros(c)
+    for edge, w in zip(g.edges, g.weights):
+        k = np.bincount(labels[edge], minlength=c)
+        internal += w / (edge.size - 1) * k * (k - 1)
+        volume += w * k
+    two_m = volume.sum()
+    return float(np.sum(internal / two_m - (volume / two_m) ** 2))
+
+
 def symmetric_f1_tables(pred, truth):
     """Symmetric best-match F1 from dense cp x ct overlap and F1 tables."""
     cp, ct = pred.c, truth.c

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hypermod import Hypergraph, Partition, cut_stats, symmetric_f1
+from hypermod.evaluate import pin_counts
 
 from oracles import bits, cut_stats_by_edge, symmetric_f1_naive, symmetric_f1_tables
 
@@ -89,6 +90,21 @@ class TestSymmetricF1:
             symmetric_f1(Partition([0, 1]), Partition([0, 1, 1]))
 
 
+class TestPinCounts:
+    def test_matches_table_of_counts(self, mixed_corpus):
+        rng = np.random.default_rng(12)
+        for g in mixed_corpus[:40]:
+            p = Partition.from_labels(rng.integers(0, 4, size=g.n))
+            k = pin_counts(g, p)
+            table = np.zeros((g.m, p.c), dtype=np.int64)
+            for e, edge in enumerate(g.edges):
+                np.add.at(table[e], p.assignment[edge], 1)
+            assert k.format == "csr" and k.dtype == np.int64
+            assert k.has_sorted_indices
+            assert np.all(k.data > 0)
+            assert np.array_equal(k.toarray(), table)
+
+
 class TestCutStats:
     def test_uncut_edge_tops_histogram(self):
         g = Hypergraph(4, [[0, 1, 2, 3]])
@@ -133,9 +149,10 @@ class TestCutStats:
             g = Hypergraph(n, edges)
             p = Partition.from_labels(rng.integers(0, 5, size=n))
             stats = cut_stats(g, p)
-            for counts, edge in zip(stats.partition_counts, g.edges):
-                assert counts.sum() == edge.size
-                assert np.all(counts > 0)
+            assert stats.counts.shape == (g.m, p.c)
+            sums = np.add.reduceat(stats.counts.data, stats.counts.indptr[:-1])
+            assert np.array_equal(sums, g.edge_degrees)
+            assert np.all(stats.counts.data > 0)
             assert stats.histogram.sum() == pytest.approx(1.0)
 
     def test_relabel_invariance(self):
@@ -163,17 +180,19 @@ class TestCutStats:
 
 
 class TestCutStatsMatchesReference:
-    """One np.unique over (edge, cluster) keys gives what one np.unique
-    per hyperedge gave."""
+    """The rows of the pin-count matrix give what one np.unique per
+    hyperedge gave."""
 
     @staticmethod
     def check(g, partition):
         got = cut_stats(g, partition)
         counts, rel, hist = cut_stats_by_edge(g, partition)
-        assert len(got.partition_counts) == len(counts)
-        for a, b in zip(got.partition_counts, counts):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
+        k = got.counts
+        assert k.dtype == np.int64
+        assert k.shape[0] == len(counts)
+        for e, want in enumerate(counts):
+            row = k.data[k.indptr[e] : k.indptr[e + 1]]
+            assert np.array_equal(row, want.astype(np.int64))
         assert np.array_equal(bits(got.relative_sizes), bits(rel))
         assert np.array_equal(bits(got.histogram), bits(hist))
 

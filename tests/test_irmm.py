@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -159,6 +160,20 @@ class TestUpdateWeights:
         new = update_weights(np.array([4.0]), g, p, 0.5)
         assert new[0] == pytest.approx(4.0, rel=1e-15)
 
+    def test_partition_must_cover_nodes(self):
+        # A longer partition would change c in w'; a shorter one misses pins.
+        g = Hypergraph(4, [[0, 1], [1, 2, 3], [0, 3]])
+        for labels in ([0, 1, 2, 0, 1, 2], [0, 1, 1]):
+            with pytest.raises(ValueError, match="cover"):
+                update_weights(np.ones(3), g, Partition(labels), 0.5)
+
+    def test_one_weight_per_hyperedge(self):
+        g = Hypergraph(4, [[0, 1], [1, 2, 3], [0, 3]])
+        p = Partition([0, 0, 1, 1])
+        for weights in (np.ones(1), np.ones(4), np.ones((3, 1))):
+            with pytest.raises(ValueError, match="one weight per hyperedge"):
+                update_weights(weights, g, p, 0.5)
+
     def test_weights_stay_positive(self):
         rng = np.random.default_rng(12)
         g = Hypergraph(
@@ -240,7 +255,11 @@ class TestConfig:
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
-            IrmmConfig(**kwargs).validate()
+            IrmmConfig(**kwargs)
+
+    def test_replace_validates(self):
+        with pytest.raises(ValueError, match="alpha"):
+            replace(IrmmConfig(), alpha=1.0)
 
 
 def stray_node_toy():
@@ -258,6 +277,12 @@ def stray_node_toy():
     return Hypergraph(9, edges, weights)
 
 
+def cut_counts(stats):
+    """Each hyperedge's nonzero cluster counts, ascending."""
+    k = stats.counts
+    return [sorted(k.data[lo:hi].tolist()) for lo, hi in zip(k.indptr, k.indptr[1:])]
+
+
 class TestIrmm:
     def test_unbalanced_cuts_get_removed(self):
         g = stray_node_toy()
@@ -266,7 +291,7 @@ class TestIrmm:
         # edges cut 1:3.
         cs0 = cut_stats(g, first.partition)
         assert int(np.sum(cs0.relative_sizes < 1.0)) == 3
-        assert any(sorted(c.tolist()) == [1, 4] for c in cs0.partition_counts)
+        assert [1, 4] in cut_counts(cs0)
 
         res = irmm(g)
         assert res.converged
@@ -274,8 +299,8 @@ class TestIrmm:
         cuts_after = int(np.sum(cs1.relative_sizes < 1.0))
         assert cuts_after < 3
         # No lopsided cut survives: everything still cut is split 2:2.
-        assert not any(sorted(c.tolist()) == [1, 4] for c in cs1.partition_counts)
-        assert not any(sorted(c.tolist()) == [1, 3] for c in cs1.partition_counts)
+        assert [1, 4] not in cut_counts(cs1)
+        assert [1, 3] not in cut_counts(cs1)
 
     def test_fixed_point_exits_quickly(self):
         # Weights already at the reweighted value for a stable clustering.

@@ -20,7 +20,29 @@ from hypermod import reduction
 from hypermod.reduction import _dense_edges
 
 from conftest import random_dyadic_hypergraph, random_hypergraph
-from oracles import bits, clique_degree_by_hand, expansion_by_pairs
+from oracles import (
+    bits,
+    clique_degree_by_hand,
+    expansion_by_pairs,
+    modularity_from_pin_counts,
+)
+
+
+def check_modularity_from_pin_counts(g, rng):
+    """Q of the degree-preserving reduction, under random partitions, the
+    Louvain partition and one cluster, against the pin-count oracle."""
+    rg = degree_preserving_reduce(g)
+    partitions = [
+        Partition.from_labels(rng.integers(0, c, size=g.n))
+        for c in (2, 5, max(2, g.n // 4))
+    ]
+    partitions.append(louvain(rg).partition)
+    for p in partitions:
+        want = modularity_from_pin_counts(g, p.assignment)
+        assert modularity(rg, p) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    one = np.zeros(g.n, dtype=np.int64)
+    assert abs(modularity(rg, Partition(one))) <= 1e-15
+    assert abs(modularity_from_pin_counts(g, one)) <= 1e-15
 
 
 class TestCliqueReduce:
@@ -77,6 +99,11 @@ class TestDegreePreservingReduce:
             assert np.allclose(
                 rg.node_degrees, degrees(g).node_degrees, rtol=1e-9, atol=1e-12
             )
+
+    def test_modularity_matches_pin_counts(self, mixed_corpus):
+        rng = np.random.default_rng(13)
+        for g in mixed_corpus:
+            check_modularity_from_pin_counts(g, rng)
 
     def test_rejects_singleton_hyperedge(self):
         g = Hypergraph(3, [[0, 1], [2]])
@@ -161,6 +188,11 @@ class TestDensePath:
             ):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    def test_modularity_matches_pin_counts(self, corpus):
+        rng = np.random.default_rng(14)
+        for g in corpus:
+            check_modularity_from_pin_counts(g, rng)
+
     def test_structure_and_row_sums(self, corpus):
         for g in corpus:
             for rg in (clique_reduce(g), degree_preserving_reduce(g)):
@@ -227,6 +259,13 @@ class TestDenseLayout:
             dense, csr = louvain(rg), louvain(ReducedGraph(rg.adjacency))
             assert dense.partition == csr.partition
             assert dense.modularity == pytest.approx(csr.modularity, abs=1e-12)
+
+    def test_modularity_matches_pin_counts(self):
+        rng = np.random.default_rng(15)
+        for seed, n in ((0, 200), (1, 300)):
+            g = preprocess(generate(GenConfig(n=n, seed=seed))[0])
+            assert degree_preserving_reduce(g).dense is not None
+            check_modularity_from_pin_counts(g, rng)
 
     def test_one_cluster_modularity_is_exactly_zero(self, graphs):
         for rg in graphs:
