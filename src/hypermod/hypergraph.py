@@ -50,8 +50,9 @@ class Hypergraph:
     hyperedge's degree is the number of distinct nodes it contains.
     The hyperedges are stored as ``pins``: the sorted distinct nodes of
     every hyperedge, concatenated in edge order, hyperedge j taking the
-    next ``edge_degrees[j]`` entries. ``edges`` gives the same nodes as
-    one array per hyperedge.
+    next ``edge_degrees[j]``. They index one m x n CSR matrix (n < 2**63)
+    whose rows scipy sorts and deduplicates; ``incidence()`` transposes it.
+    ``edges`` gives the same nodes as one array per hyperedge.
     ``node_labels`` optionally records external identifiers; it is carried
     through preprocessing so results can be reported against the original
     numbering. After ``load`` they are the 1-based file ids. A graph built
@@ -65,30 +66,28 @@ class Hypergraph:
         n = int(n)
         if n < 1:
             raise ValueError("node count must be at least 1")
+        if n > _MAX_INDEX:
+            raise ValueError("node count must fit a 64-bit integer")
         arrays = [np.asarray(edge, dtype=np.int64).ravel() for edge in edges]
         m = len(arrays)
         if m == 0:
             raise ValueError("hypergraph must have at least one hyperedge")
         sizes = np.fromiter((a.size for a in arrays), dtype=np.int64, count=m)
         flat = np.concatenate(arrays)
-        edge_of = np.repeat(np.arange(m), sizes)
-        first_bad = np.concatenate((
-            np.flatnonzero(sizes == 0)[:1], edge_of[(flat < 0) | (flat >= n)][:1]
-        ))
-        if first_bad.size:
-            idx = int(first_bad.min())
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        bad = sizes == 0
+        outside = np.flatnonzero((flat < 0) | (flat >= n))
+        bad[np.searchsorted(offsets, outside, side="right") - 1] = True
+        if bad.any():
+            idx = int(np.argmax(bad))
             if sizes[idx] == 0:
                 raise ValueError(f"hyperedge {idx} has no nodes")
             raise ValueError(f"hyperedge {idx} has a node index outside [0, {n})")
 
-        # Sort the nodes within each hyperedge, then drop repeats.
-        if m * n < 2**63:
-            offset = edge_of * n
-            flat = np.sort(offset + flat) - offset
-        else:
-            flat = flat[np.lexsort((flat, edge_of))]
-        fresh = np.ones(flat.size, dtype=bool)
-        fresh[1:] = (flat[1:] != flat[:-1]) | (edge_of[1:] != edge_of[:-1])
+        # One row per hyperedge; scipy sorts each row and drops repeats.
+        ones = np.ones(flat.size, dtype=bool)
+        rows = sparse.csr_matrix((ones, flat, offsets), shape=(m, n))
+        rows.sum_duplicates()
 
         w = _edge_weights(weights, m)
         if node_labels is not None:
@@ -98,8 +97,8 @@ class Hypergraph:
 
         self.n = n
         self.m = m
-        self.pins = flat[fresh]
-        self.edge_degrees = np.bincount(edge_of[fresh], minlength=m)
+        self.pins = rows.indices.astype(np.int64)
+        self.edge_degrees = np.diff(rows.indptr).astype(np.int64)
         self.weights = w
         self.node_labels = node_labels
 
@@ -119,17 +118,13 @@ class Hypergraph:
     def edges(self):
         """Sorted distinct node indices of each hyperedge (views of ``pins``)."""
         ends = np.cumsum(self.edge_degrees).tolist()
-        pins = self.pins
-        return tuple(pins[lo:hi] for lo, hi in zip([0] + ends[:-1], ends))
+        return tuple(self.pins[lo:hi] for lo, hi in zip([0, *ends], ends))
 
     @cached_property
     def _incidence(self):
-        col = np.repeat(np.arange(self.m), self.edge_degrees)
-        mat = sparse.csr_matrix(
-            (np.ones(self.pins.size), (self.pins, col)), shape=(self.n, self.m)
-        )
-        mat.sort_indices()
-        return mat
+        offsets = np.concatenate(([0], np.cumsum(self.edge_degrees)))
+        rows = (np.ones(self.pins.size), self.pins, offsets)
+        return sparse.csr_matrix(rows, shape=(self.m, self.n)).T.tocsr()
 
     def incidence(self):
         """Node-by-hyperedge membership matrix (CSR, float 0/1)."""

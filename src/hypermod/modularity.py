@@ -89,8 +89,10 @@ class Partition:
             raise ValueError("assignment must be a nonempty 1-d array")
         if assignment.min() < 0:
             raise ValueError("cluster ids must be nonnegative")
-        sizes = np.bincount(assignment)
-        if np.any(sizes == 0):
+        # A largest id of at least n leaves an id empty: reject it before
+        # bincount allocates one count per id.
+        sizes = np.bincount(assignment) if assignment.max() < assignment.size else None
+        if sizes is None or np.any(sizes == 0):
             raise ValueError("cluster ids must be dense (no empty id below the max)")
         self.assignment = assignment
         self.c = int(sizes.size)

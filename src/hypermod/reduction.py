@@ -49,36 +49,41 @@ __all__ = [
 DENSE_NODE_LIMIT = 20_000
 
 
-def _row_sums(block: np.ndarray) -> np.ndarray:
+def _row_sums(dense: np.ndarray) -> np.ndarray:
     """Sums of each row's nonzero cells in column order, added exactly as
-    CSR ``sum(axis=1)`` adds the stored entries (one ``reduceat``)."""
-    nonzero = block != 0.0
-    counts = np.count_nonzero(nonzero, axis=1)
-    starts = np.cumsum(counts) - counts
-    sums = np.zeros(block.shape[0])
-    filled = counts > 0
-    sums[filled] = np.add.reduceat(block[nonzero], starts[filled])
+    CSR ``sum(axis=1)`` adds the stored entries: one ``reduceat`` per block
+    of ``_BLOCK_CELLS`` cells, which no row spans, so blocks change no bits."""
+    sums = np.zeros(dense.shape[0])
+    rows = max(1, _BLOCK_CELLS // max(1, dense.shape[1]))
+    for r0 in range(0, dense.shape[0], rows):
+        block = dense[r0 : r0 + rows]
+        nonzero = block != 0.0
+        counts = np.count_nonzero(nonzero, axis=1)
+        starts = np.cumsum(counts) - counts
+        filled = counts > 0
+        sums[r0 : r0 + rows][filled] = np.add.reduceat(block[nonzero], starts[filled])
     return sums
 
 
 class ReducedGraph:
     """Symmetric weighted adjacency with cached degrees.
 
-    ``node_degrees`` are exact row sums and ``total_weight_2m`` their total.
-    Hypergraph reductions produce a zero diagonal; aggregated graphs built
-    during optimization keep intra-cluster weight as self-loops.
+    ``node_degrees`` are exact row sums, taken here for either layout, and
+    ``total_weight_2m`` their total. Hypergraph reductions produce a zero
+    diagonal; aggregated graphs built during optimization keep
+    intra-cluster weight as self-loops.
 
     The layout is a sparse matrix, kept as sorted CSR, or an n x n array,
     kept as ``dense``; ``dense`` is None for CSR. ``adjacency`` is CSR for
     both: a dense layout builds it on first read and caches it, so code
-    that reads the graph through its methods never builds it.
+    that reads the graph through its methods never builds it. Dense row
+    sums have the bits of that CSR's ``sum(axis=1)``.
     """
 
-    def __init__(self, adjacency, node_degrees=None):
+    def __init__(self, adjacency):
         if isinstance(adjacency, np.ndarray):
             self.dense = adjacency
-            if node_degrees is None:
-                node_degrees = _row_sums(adjacency)
+            node_degrees = _row_sums(adjacency)
         else:
             adjacency = adjacency.tocsr()
             adjacency.sort_indices()
@@ -134,7 +139,7 @@ _SPARSE_MAX_SIZE = 64
 # dense cell into CSR about 7 ns.
 _GEMM_COST = 0.005
 _SCAN_COST = 0.5
-# Dense cells per row block of the split build (2 MB of float64).
+# Dense cells per row block of the split build and of dense row sums (2 MB).
 _BLOCK_CELLS = 1 << 18
 
 
@@ -187,14 +192,13 @@ def _expand_split(g: Hypergraph, Hs, edge_scale: np.ndarray, large: np.ndarray):
     rows over the small hyperedges, densified, plus the BLAS product of the
     block's rows of the dense large-edge incidence with all of it. A per-row
     bound on the entries picks the layout. At 2/3 fill or more, and at most
-    ``DENSE_NODE_LIMIT`` nodes, the blocks are written into one n x n array
-    and each block's row sums are taken over its nonzero cells, as CSR would
-    add them. There the sparse products of all blocks run first, then the
-    BLAS products, then the row sums: BLAS threads left idle between two
-    calls spin, so a single-threaded step run between them costs twice its
-    time in CPU. Otherwise each block is scanned straight into CSR arrays
-    sized by the bound, and no n x n temporary is formed. Both layouts store
-    the same values.
+    ``DENSE_NODE_LIMIT`` nodes, the blocks are written into one n x n array.
+    There the sparse products of all blocks run first, then the BLAS
+    products, and only then does ``ReducedGraph`` sum the rows: BLAS threads
+    left idle between two calls spin, so a single-threaded step run between
+    them costs twice its time in CPU. Otherwise each block is scanned
+    straight into CSR arrays sized by the bound, and no n x n temporary is
+    formed. Both layouts store the same values.
     """
     n = g.n
     H = g.incidence()
@@ -209,15 +213,13 @@ def _expand_split(g: Hypergraph, Hs, edge_scale: np.ndarray, large: np.ndarray):
     rows = max(1, _BLOCK_CELLS // n)
     blocks = [(r0, min(n, r0 + rows)) for r0 in range(0, n, rows)]
     if 3 * capacity >= 2 * n * n and n <= DENSE_NODE_LIMIT:
-        out, degrees = np.empty((n, n)), np.empty(n)
+        out = np.empty((n, n))
         for r0, r1 in blocks:
             (small_left[r0:r1] @ small_right).toarray(out=out[r0:r1])
         for r0, r1 in blocks:
             out[r0:r1] += (dense[r0:r1] * dense_scale) @ dense.T
         np.fill_diagonal(out, 0.0)
-        for r0, r1 in blocks:
-            degrees[r0:r1] = _row_sums(out[r0:r1])
-        return ReducedGraph(out, degrees)
+        return ReducedGraph(out)
     index_dtype = np.int32 if capacity < 2**31 else np.int64
     data = np.empty(capacity)
     indices = np.empty(capacity, dtype=index_dtype)
@@ -289,7 +291,6 @@ def random_walk_matrix(g: Hypergraph):
     if np.any(d <= 0):
         raise ValueError("isolated node: every node must belong to a hyperedge")
     walk = degree_preserving_reduce(g).adjacency
-    rows = np.repeat(np.arange(g.n), np.diff(walk.indptr))
-    walk.data = walk.data / d[rows]
+    walk.data /= np.repeat(d, np.diff(walk.indptr))
     return walk
 

@@ -114,6 +114,10 @@ class TestConstructor:
         with pytest.raises(ValueError):
             Hypergraph(3, [])
 
+    def test_rejects_node_count_beyond_int64(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            Hypergraph(2**64, [[0, 1]])
+
     def test_with_weights(self):
         g = Hypergraph(3, [[0, 1], [1, 2]])
         g2 = g.with_weights([2.0, 3.0])
@@ -172,7 +176,8 @@ class TestConstructorMatchesReference:
         assert np.array_equal(g.edge_degrees, [1, 1, 2, 3, 2])
 
     def test_node_count_too_large_for_a_product_key(self):
-        # m * n >= 2**63, so the nodes are sorted without the (edge, node) key.
+        # m * n >= 2**63 overflows any (edge, node) product key, and n needs
+        # 64-bit CSR indices.
         n = 2**62
         self.check(n, [[n - 1, 5, 5, 0], [0], [7, 3, n - 2]])
 

@@ -46,6 +46,11 @@ class TestPartition:
         with pytest.raises(ValueError, match="dense"):
             Partition([0, 2, 2])
 
+    def test_huge_id_rejected_before_counting(self):
+        # One count per id up to 2**62 cannot be allocated.
+        with pytest.raises(ValueError, match="dense"):
+            Partition([0, 2**62])
+
     def test_from_labels_first_appearance_order(self):
         p = Partition.from_labels([7, 7, 3, 7, 3, 9])
         assert np.array_equal(p.assignment, [0, 0, 1, 0, 1, 2])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from hypermod import (
     GenConfig,
@@ -253,6 +254,18 @@ class TestDenseLayout:
             csr = ReducedGraph(rg.adjacency)
             assert csr.dense is None
             assert np.array_equal(bits(rg.node_degrees), bits(csr.node_degrees))
+
+    def test_blocked_degrees_equal_the_csr_row_sums(self):
+        # n = 700 sums the rows in two blocks; weights spanning many
+        # magnitudes make the bits depend on the order of the additions.
+        rng = np.random.default_rng(7)
+        weights = rng.random((700, 700)) * 10.0 ** rng.integers(-8, 9, (700, 700))
+        weights[rng.random(weights.shape) < 0.3] = 0.0
+        upper = np.triu(weights, 1)
+        dense = ReducedGraph(upper + upper.T)
+        csr = ReducedGraph(sparse.csr_matrix(upper + upper.T))
+        assert np.array_equal(bits(dense.node_degrees), bits(csr.node_degrees))
+        assert dense.total_weight_2m == csr.total_weight_2m
 
     def test_louvain_agrees_across_layouts(self, graphs):
         for rg in graphs:
