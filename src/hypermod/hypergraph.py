@@ -1,11 +1,11 @@
 """Hypergraph container, hMETIS-style file I/O, and preprocessing.
 
-A hypergraph is stored as a list of hyperedges (sorted arrays of distinct
-0-based node indices) plus a strictly positive weight per hyperedge. The
-file format is the hMETIS convention: a header line ``m n [fmt]`` followed
-by one line per hyperedge with 1-based node indices, where ``fmt`` of ``1``
-means each line starts with a hyperedge weight. Lines beginning with ``%``
-are comments.
+Hyperedges are the rows of one m x n CSR matrix, kept as ``pins`` (each
+hyperedge's sorted distinct 0-based nodes in turn) and ``edge_degrees``,
+each with a strictly positive weight. The file format is the hMETIS
+convention: a header line ``m n [fmt]`` followed by one line per hyperedge
+with 1-based node indices, where ``fmt`` of ``1`` means each line starts
+with a hyperedge weight. Lines beginning with ``%`` are comments.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ less than ``threshold``.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -66,8 +67,8 @@ class IrmmConfig:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if not self.threshold > 0:
             raise ValueError("threshold must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError("max_iters must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -150,9 +151,9 @@ def irmm(g: Hypergraph, config: IrmmConfig | None = None) -> ClusterResult:
             break
     if not converged:
         logger.warning(
-            "irmm: weights still moving after %d iterations (last delta %g)",
-            cfg.max_iters,
-            trace[-1].weight_delta,
+            "irmm: weights still moving after max_iters=%d rounds"
+            " (last delta %g, not below threshold=%g)",
+            cfg.max_iters, trace[-1].weight_delta, cfg.threshold,
         )
     return replace(
         result,

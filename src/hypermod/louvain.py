@@ -11,6 +11,7 @@ when a coarse level moved a node.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +50,10 @@ class LouvainConfig:
     shuffle: bool = False
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(
+                f"seed must be non-negative and integral, got {self.seed!r}"
+            )
 
 
 @dataclass

@@ -13,29 +13,27 @@ form is never materialized.
 Louvain's local moving is ``ModularityContext.local_moving``. A move's
 gain reads only the node's weight into each cluster, self-loop excluded,
 and the clusters' total degrees, so a context drops the self-loops from
-its rows once, when it is built. A visit sees its candidate clusters in
-one of two forms. At most ``SHORT_ROW`` (128) candidates come as a dict
-{cluster: weight} and are scored with Python scalars: a CSR row of at
-most ``SHORT_ROW`` stored entries besides the self-loop, accumulated
-entry by entry, so a visit costs time in its row length, not in n; and a
-dense row while at most ``SHORT_ROW`` clusters are non-empty, read from
-its bincount at their ids. Otherwise a row is binned by one bincount into
-the full per-cluster sums array (a dense row against the whole
-assignment, with no index gather) and scored as one array with a masked
-``argmax``. Both forms add each cluster's weights in row order starting
-from 0.0 (a dense row adds exact zeros between them), leave out the
-clusters whose weights sum to zero, evaluate the same gain expression
-with the same operations and break ties toward the lowest cluster id, so
-they choose the same moves bit for bit.
+its rows once, when it is built. A CSR row of at most ``SHORT_ROW``
+(128) stored entries besides the self-loop is summed entry by entry into
+a dict {cluster: weight}, so its visit costs time in its length, not in
+n. Any other row is binned by one bincount (a dense row against the whole
+assignment, with no index gather), which is read into a dict at the
+non-empty clusters while at most ``SHORT_ROW`` remain and otherwise
+scored as one array with a masked ``argmax``. Both forms add each
+cluster's weights in row order starting from 0.0 (a dense row adds exact
+zeros between them), leave out the clusters whose weights sum to zero,
+evaluate the same gain expression with the same operations and break
+ties toward the lowest cluster id, so they choose the same moves bit for
+bit.
 
 A sweep skips the visits that cannot move a node (the revisit rule). A
 visit that moves nothing records how far the node's gains would have to
 rise before one could pass ``MIN_GAIN``. Each later move raises a bound on
 that rise by the moved node's weight to the node and its degree, and the
-node is visited again once the bound reaches the record, or at once when
-the lowest empty cluster changes. A skipped visit would have moved
-nothing, so the moves are those of a loop that visits every node in every
-sweep (the proof is in ``local_moving``).
+node is visited again once the bound reaches the record, which already
+covers every empty cluster. A skipped visit would have moved nothing, so
+the moves are those of a loop that visits every node in every sweep (the
+proof is in ``local_moving``).
 """
 
 from __future__ import annotations
@@ -232,34 +230,32 @@ class ModularityContext:
     def neighbor_cluster_weights(self, node):
         """Edge weight from ``node`` into each cluster, self-loop excluded.
 
-        A CSR row of at most ``SHORT_ROW`` stored entries, and a dense row
-        while at most ``SHORT_ROW`` clusters are non-empty, give a dict
-        {cluster id: weight} that leaves out a cluster whose weights sum to
-        zero; a dense row's dict lists the clusters in id order. Any other
-        row gives the per-cluster sums array from one bincount, long enough
-        to hold the node's own cluster; a cluster not adjacent to the node
-        reads 0.
+        A CSR row of at most ``SHORT_ROW`` stored entries gives a dict
+        {cluster id: weight}, summed entry by entry (``ReducedGraph``
+        stores no zero, so no weight is 0). Any other row is binned by one
+        bincount: while at most ``SHORT_ROW`` clusters are non-empty, its
+        nonzero sums at their ids, in id order, give the dict; otherwise
+        the per-cluster sums array is returned, long enough to hold the
+        node's own cluster.
         """
         cols, weights = self.row(node)
-        if cols is None:
-            sums = np.bincount(self.assignment, weights=weights)
-            if self.clusters > SHORT_ROW:
-                return sums
-            ids = self._cluster_ids
-            if ids is None:
-                ids = self._cluster_ids = np.flatnonzero(self.sizes)
-            return {c: w for c, w in zip(ids.tolist(), sums.take(ids).tolist()) if w}
-        labels = self.assignment.take(cols)
-        if cols.size <= SHORT_ROW:
+        if cols is not None and cols.size <= SHORT_ROW:
             acc = {}
             get = acc.get
-            for c, w in zip(labels.tolist(), weights.tolist()):
+            for c, w in zip(self.assignment.take(cols).tolist(), weights.tolist()):
                 acc[c] = get(c, 0.0) + w
-            if 0.0 in acc.values():
-                acc = {c: w for c, w in acc.items() if w}
             return acc
-        own = self.assignment.item(node) + 1
-        return np.bincount(labels, weights=weights, minlength=own)
+        labels = self.assignment if cols is None else self.assignment.take(cols)
+        ids = None
+        if self.clusters <= SHORT_ROW:
+            if self._cluster_ids is None:
+                self._cluster_ids = np.flatnonzero(self.sizes)
+            ids = self._cluster_ids
+        span = self.assignment.item(node) + 1 if ids is None else ids.item(-1) + 1
+        sums = np.bincount(labels, weights=weights, minlength=span)
+        if ids is None:
+            return sums
+        return {c: w for c, w in zip(ids.tolist(), sums.take(ids).tolist()) if w}
 
     def move(self, node, to) -> None:
         """Move ``node`` to cluster ``to``; update cluster totals and sizes."""
@@ -312,9 +308,9 @@ class ModularityContext:
         - A cluster that u was not adjacent to at the visit had w_c = 0 and
           tot_c ≥ 0, so a gain of at most V = 2k(tot_a - k)/(2m)² - 2·s_a/2m,
           the gain toward a cluster with no weight and total 0. That covers
-          the clusters that become adjacent later, and the spare: an empty
-          cluster's total is 0 up to the rounding its last node left
-          behind. A new lowest empty cluster still clears every limit.
+          the clusters that become adjacent later, and every spare, old or
+          new: an empty cluster's total is 0 up to the rounding its last
+          node left behind, so no new lowest empty cluster unlocks a move.
 
         A visit that moves nothing stores ``limit[u]`` = its reach +
         ``MIN_GAIN`` - max(its gains, V) - ``SLACK``, and u is skipped while
@@ -396,9 +392,7 @@ class ModularityContext:
                     drift += (4.0 / two_m) * weights
                 else:
                     drift[cols] += (4.0 / two_m) * weights
-                if self.first_empty_cluster() != spare:
-                    spare = self.first_empty_cluster()
-                    limit.fill(-np.inf)
+                spare = self.first_empty_cluster()
             total += moves
             if moves == 0:
                 return total

@@ -73,11 +73,12 @@ class ReducedGraph:
     diagonal; aggregated graphs built during optimization keep
     intra-cluster weight as self-loops.
 
-    The layout is a sparse matrix, kept as sorted CSR, or an n x n array,
-    kept as ``dense``; ``dense`` is None for CSR. ``adjacency`` is CSR for
-    both: a dense layout builds it on first read and caches it, so code
-    that reads the graph through its methods never builds it. Dense row
-    sums have the bits of that CSR's ``sum(axis=1)``.
+    The layout is a sparse matrix, kept as sorted CSR with no stored zero
+    (a CSR argument is sorted and cleared of zeros in place), or an n x n
+    array, kept as ``dense``; ``dense`` is None for CSR. ``adjacency`` is
+    CSR for both: a dense layout builds it on first read and caches it,
+    so code that reads the graph through its methods never builds it.
+    Dense row sums have the bits of that CSR's ``sum(axis=1)``.
     """
 
     def __init__(self, adjacency):
@@ -87,6 +88,7 @@ class ReducedGraph:
         else:
             adjacency = adjacency.tocsr()
             adjacency.sort_indices()
+            adjacency.eliminate_zeros()
             self.dense = None
             self.adjacency = adjacency
             node_degrees = np.asarray(adjacency.sum(axis=1)).ravel()
@@ -179,10 +181,8 @@ def _expand(g: Hypergraph, edge_scale: np.ndarray) -> ReducedGraph:
     large = _dense_edges(g.edge_degrees, g.n)
     if large is not None:
         return _expand_split(g, Hs, edge_scale, large)
-    prod = (Hs @ H.T).tocsr()
-    prod = (prod - sparse.diags(prod.diagonal())).tocsr()
-    prod.eliminate_zeros()
-    return ReducedGraph(prod)
+    prod = Hs @ H.T
+    return ReducedGraph(prod - sparse.diags(prod.diagonal()))
 
 
 def _expand_split(g: Hypergraph, Hs, edge_scale: np.ndarray, large: np.ndarray):

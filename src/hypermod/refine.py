@@ -10,6 +10,8 @@ exceed the current cluster count.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .modularity import Partition, aggregate
@@ -27,9 +29,8 @@ def agglomerate(graph: ReducedGraph, partition: Partition, k: int) -> Partition:
     merged row and column, but still takes one argmax over all c² pairs,
     so the whole merge is O(c³).
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
     if k > partition.c:
         raise ValueError(
             f"cannot split: requested {k} clusters but only {partition.c} exist"

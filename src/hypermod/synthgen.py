@@ -1,4 +1,4 @@
-"""Synthetic two-class hypergraph generator with planted homophily.
+"""Synthetic hypergraph generator with ``classes`` planted classes and homophily.
 
 Hyperedge sizes follow a heavy-tailed three-bucket recipe: by default 75%
 of the edges are small (at most 3% of the nodes), 20% are medium (up to
@@ -84,8 +84,8 @@ def generate(config: GenConfig) -> tuple[Hypergraph, Partition]:
         raise ValueError("homophily_deviation must lie in [0, 1]")
     if not 0 < config.edge_factor < np.inf:
         raise ValueError("edge_factor must be finite and positive")
-    if config.seed < 0:
-        raise ValueError("seed must be non-negative")
+    if not isinstance(config.seed, numbers.Integral) or config.seed < 0:
+        raise ValueError(f"seed must be non-negative and integral, got {config.seed!r}")
 
     buckets = (
         config.size_buckets

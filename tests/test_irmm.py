@@ -257,6 +257,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             IrmmConfig(**kwargs)
 
+    @pytest.mark.parametrize("max_iters", [1.5, 2.0])
+    def test_rejects_non_integral_max_iters(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be an integer of at"):
+            IrmmConfig(max_iters=max_iters)
+
     def test_replace_validates(self):
         with pytest.raises(ValueError, match="alpha"):
             replace(IrmmConfig(), alpha=1.0)
@@ -327,6 +332,24 @@ class TestIrmm:
         assert not res.converged
         assert res.iterations == 1
         assert res.partition is not None
+
+    def test_nonconvergence_warning_names_its_limits(self, caplog):
+        g, _ = generate(GenConfig(n=120, seed=3))
+        with caplog.at_level("WARNING", logger="hypermod.irmm"):
+            res = irmm(preprocess(g), IrmmConfig(max_iters=1, threshold=1e-3))
+        assert not res.converged
+        [record] = caplog.records
+        assert record.levelname == "WARNING"
+        message = record.getMessage()
+        assert "max_iters=1 " in message
+        assert "threshold=0.001" in message
+        assert f"last delta {res.trace[-1].weight_delta:g}" in message
+
+    def test_converged_run_does_not_warn(self, caplog):
+        g = Hypergraph(4, [[0, 1], [2, 3]])
+        with caplog.at_level("WARNING", logger="hypermod.irmm"):
+            assert irmm(g).converged
+        assert not caplog.records
 
     def test_trace_matches_iterations_and_file(self, tmp_path):
         g = stray_node_toy()

@@ -132,6 +132,10 @@ class TestLouvain:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             LouvainConfig(seed=-1)
 
+    def test_config_rejects_non_integral_seed(self):
+        with pytest.raises(ValueError, match="non-negative and integral, got 1.5"):
+            LouvainConfig(seed=1.5)
+
     def test_empty_graph_rejected(self):
         g = Hypergraph(3, [[0, 1]])
         rg = degree_preserving_reduce(g)
@@ -284,17 +288,15 @@ def run_both(graph, init=None, order=None, pre_moves=()):
 
     ``pre_moves`` are (node, cluster) moves applied to both contexts first,
     e.g. to leave an empty cluster behind. Asserts that the move counts and
-    the tracked state agree bit for bit, and that every node is visited
-    again after the last move that changed the lowest empty cluster.
-    Returns the library's context, the target-was-empty flag of each move
-    it made, and the number of visits it skipped: the reference visits
-    every node of every sweep.
+    the tracked state agree bit for bit. Returns the library's context, the
+    target-was-empty flag of each move it made, and the number of visits it
+    skipped: the reference visits every node of every sweep.
     """
     ours, ref = ModularityContext(graph, init), ModularityContext(graph, init)
     for ctx in (ours, ref):
         for node, to in pre_moves:
             move_node(ctx, node, to)
-    visited, into_empty, spare_changes = [], [], [0]
+    visited, into_empty = [], []
     visit, move = ours.neighbor_cluster_weights, ours.move
 
     def recording_visit(node):
@@ -303,10 +305,7 @@ def run_both(graph, init=None, order=None, pre_moves=()):
 
     def recording_move(node, to):
         into_empty.append(bool(ours.sizes[to] == 0))
-        spare = ours.first_empty_cluster()
         move(node, to)
-        if ours.first_empty_cluster() != spare:
-            spare_changes.append(len(visited))
 
     ours.neighbor_cluster_weights = recording_visit
     ours.move = recording_move
@@ -317,7 +316,6 @@ def run_both(graph, init=None, order=None, pre_moves=()):
     for attr in ("assignment", "sigma_tot", "sizes"):
         assert same_bits(getattr(ours, attr), getattr(ref, attr)), attr
     assert ours.clusters == np.count_nonzero(ours.sizes)
-    assert set(visited[spare_changes[-1]:]) == set(order.tolist())
     assert len(visited) <= visits
     return ours, into_empty, visits - len(visited)
 
@@ -456,6 +454,28 @@ class TestLocalMovingMatchesReference:
         assert row_lengths(graph).min() > SHORT_ROW
         _, _, skipped = run_both(graph)
         assert skipped
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_long_csr_rows_in_both_forms(self, seed, monkeypatch):
+        # Every row is longer than SHORT_ROW. From singletons the visits
+        # first get per-cluster sums arrays, then dicts once at most
+        # SHORT_ROW clusters are non-empty.
+        graph = generated(seed, n=300, size_buckets=((1.0, 10, 60),))
+        assert graph.dense is None
+        assert row_lengths(graph).min() > SHORT_ROW
+        forms = set()
+        visit = ModularityContext.neighbor_cluster_weights
+
+        def recording_visit(ctx, node):
+            neighbors = visit(ctx, node)
+            forms.add(type(neighbors))
+            return neighbors
+
+        monkeypatch.setattr(
+            ModularityContext, "neighbor_cluster_weights", recording_visit
+        )
+        run_both(graph)
+        assert forms == {dict, np.ndarray}
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_rows_straddling_the_cutoff(self, seed):

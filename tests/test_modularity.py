@@ -164,23 +164,43 @@ class TestNeighborClusterWeights:
     @pytest.mark.parametrize("others", [5, SHORT_ROW + 5])
     def test_both_row_forms(self, others):
         # Node 0: a self-loop, an explicit zero entry to node 1 (alone in
-        # cluster 1), and unit edges to the other nodes, split over
-        # clusters 2 and 3.
+        # cluster 1), which ReducedGraph does not store, and unit edges to
+        # the other nodes, split over clusters 2 and 3. With 4 clusters a
+        # long row's bincount is read as a dict too.
         n = 2 + others
         rows = [0] + [0] * (n - 1) + list(range(1, n))
         cols = [0] + list(range(1, n)) + [0] * (n - 1)
         vals = [5.0] + 2 * ([0.0] + [1.0] * others)
         graph = ReducedGraph(sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)))
-        assert graph.adjacency.nnz == 1 + 2 * (others + 1)
+        assert graph.adjacency.nnz == 1 + 2 * others
         labels = np.array([0, 1] + [2 + (i % 2) for i in range(others)])
         ctx = ModularityContext(graph, Partition(labels))
         neighbors = ctx.neighbor_cluster_weights(0)
-        if others + 2 <= SHORT_ROW:
-            assert neighbors == {2: float((others + 1) // 2), 3: float(others // 2)}
-        else:
-            assert neighbors.tolist() == [0, 0, (others + 1) // 2, others // 2]
+        assert neighbors == {2: float((others + 1) // 2), 3: float(others // 2)}
+        assert list(neighbors) == [2, 3]
         for cluster, weight in ((0, 0.0), (1, 0.0), (2, (others + 1) // 2)):
             assert weight_to(neighbors, cluster) == weight
+
+    @pytest.mark.parametrize("clusters", [SHORT_ROW, SHORT_ROW + 1])
+    def test_long_csr_row_forms(self, clusters):
+        # Node 0 has a unit edge to each of 2 * SHORT_ROW nodes whose labels
+        # cover ids 1..clusters-1. Its bincount is read as a dict while at
+        # most SHORT_ROW clusters are non-empty, else returned whole.
+        n = 1 + 2 * SHORT_ROW
+        adjacency = sparse.lil_matrix((n, n))
+        adjacency[0, 1:] = 1.0
+        adjacency[1:, 0] = 1.0
+        graph = ReducedGraph(adjacency)
+        assert graph.dense is None
+        labels = np.concatenate([[0], 1 + np.arange(n - 1) % (clusters - 1)])
+        ctx = ModularityContext(graph, Partition(labels))
+        neighbors = ctx.neighbor_cluster_weights(0)
+        sums = np.bincount(labels[1:], minlength=clusters).astype(float)
+        if clusters <= SHORT_ROW:
+            assert neighbors == {c: sums[c] for c in range(1, clusters)}
+            assert list(neighbors) == list(range(1, clusters))
+        else:
+            assert bits(neighbors).tolist() == bits(sums).tolist()
 
     @staticmethod
     def dense_graph_and_labels(clusters):

@@ -121,6 +121,21 @@ class TestStructure:
                 assert np.all(A.diagonal() == 0.0)
                 assert np.all(A.data > 0)
 
+    @pytest.mark.parametrize("fmt", ["csr", "coo", "lil"])
+    def test_stores_no_explicit_zero(self, fmt):
+        # Explicit zeros off and on the diagonal are dropped, duplicates
+        # summed, and the degrees read only the nonzero entries.
+        rows = [0, 1, 0, 2, 2, 1, 3, 3]
+        cols = [1, 0, 2, 0, 2, 3, 1, 1]
+        vals = [0.0, 0.0, 1.5, 1.5, 0.0, 2.0, 1.25, 0.75]
+        adjacency = sparse.coo_matrix((vals, (rows, cols)), shape=(4, 4)).asformat(fmt)
+        graph = ReducedGraph(adjacency)
+        A = graph.adjacency
+        assert A.nnz == 4 and np.all(A.data != 0.0)
+        assert A.has_sorted_indices
+        assert graph.node_degrees.tolist() == [1.5, 2.0, 1.5, 2.0]
+        assert not graph.self_loops.any()
+
     def test_weight_scaling_by_power_of_two_is_exact(self):
         rng = np.random.default_rng(9)
         g = random_hypergraph(rng, n_max=30, weighted=True)

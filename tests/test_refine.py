@@ -72,6 +72,12 @@ class TestAgglomerate:
         with pytest.raises(ValueError, match="at least 1"):
             agglomerate(graph, p, 0)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0])
+    def test_rejects_non_integral_k(self, k):
+        graph, p = three_cluster_example()
+        with pytest.raises(ValueError, match="k must be an integer of at least 1"):
+            agglomerate(graph, p, k)
+
     def test_tie_broken_by_lowest_pair(self):
         # Three singleton clusters with identical pairwise linkage: the
         # first merge must take clusters (0, 1).

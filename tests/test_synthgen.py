@@ -145,6 +145,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             generate(GenConfig(n=20, seed=-1))
 
+    def test_non_integral_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative and integral, got 1.5"):
+            generate(GenConfig(n=20, seed=1.5))
+
     @pytest.mark.parametrize("factor", [0.0, float("inf"), float("nan")])
     def test_edge_factor_finite_and_positive(self, factor):
         with pytest.raises(ValueError, match="edge_factor"):
