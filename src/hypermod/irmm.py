@@ -27,13 +27,9 @@ from .evaluate import pin_counts
 from .hypergraph import Hypergraph
 from .louvain import ClusterResult, LouvainConfig, louvain
 from .modularity import Partition
-from .reduction import degree_preserving_reduce
+from .reduction import degree_preserving_reduce, row_blocks
 
 logger = logging.getLogger(__name__)
-
-# ``update_weights`` densifies the edge x cluster count table in blocks of
-# at most this many cells (or one row), so memory stays linear in m and c.
-_TABLE_CELLS = 2**18
 
 __all__ = [
     "IrmmConfig",
@@ -103,20 +99,18 @@ def update_weights(
 
     Returns ``alpha * weights + (1 - alpha) * w'``, where w'(e) is the
     formula above; it depends only on the partition, never on the edge's
-    current weight. The counts are the rows of ``pin_counts``, densified a
-    block of hyperedges at a time (at most ``_TABLE_CELLS`` cells) with
-    every cluster's count, zeros included, and each row's 1/(k+1) terms
-    are summed along the row in cluster order. No m x c table is formed.
+    current weight. The counts are the rows of ``pin_counts``, densified
+    one ``row_blocks`` block of hyperedges at a time with every cluster's
+    count, zeros included, and each row's 1/(k+1) terms are summed along
+    the row in cluster order. No m x c table is formed.
     """
     c, m = partition.c, g.m
     if np.shape(weights) != (m,):
         raise ValueError("need exactly one weight per hyperedge")
     counts = pin_counts(g, partition)
     delta = g.edge_degrees
-    rows = max(1, _TABLE_CELLS // c)
     wprime = np.empty(m)
-    for e0 in range(0, m, rows):
-        e1 = min(m, e0 + rows)
+    for e0, e1 in row_blocks(m, c):
         inv = 1.0 / (counts[e0:e1].toarray() + 1.0)
         wprime[e0:e1] = inv.sum(axis=1) * (delta[e0:e1] + c) / m
     return alpha * weights + (1.0 - alpha) * wprime

@@ -36,6 +36,12 @@ __all__ = [
 
 # Cap on aggregation levels per hierarchy and on hierarchy reruns.
 MAX_PASSES = 50
+# Range of the total weight 2m that Louvain accepts. Gains divide by (2m)²,
+# and local moving forms 4·k·K/(2m)² for degree sums k, K that start at most
+# 2m. With 2⁻⁵¹⁰ ≤ 2m ≤ 2⁵¹⁰, (2m)² ≥ 2⁻¹⁰²⁰ is a normal float (2⁻¹⁰²² is
+# the least), not a zero or a subnormal that loses bits, and 4·(2m)² ≤ 2¹⁰²²
+# is finite (below 2¹⁰²⁴), not an inf that turns gains into NaN.
+_MIN_2M, _MAX_2M = 2.0**-510, 2.0**510
 
 
 @dataclass(frozen=True)
@@ -216,6 +222,11 @@ def louvain(graph: ReducedGraph, config: LouvainConfig | None = None) -> Cluster
         raise ValueError("empty graph")
     if graph.total_weight_2m <= 0:
         raise ValueError("graph has no edge weight")
+    if not _MIN_2M <= graph.total_weight_2m <= _MAX_2M:
+        raise ValueError(
+            f"total edge weight 2m = {graph.total_weight_2m!r} lies outside"
+            " [2**-510, 2**510], where gains stay finite; rescale the weights"
+        )
 
     rng = np.random.default_rng(cfg.seed)
     levels = _one_hierarchy(graph, None, cfg, rng) or [Partition(np.arange(graph.n))]

@@ -10,23 +10,23 @@ proportional to weight, then a different member uniformly) is exposed for
 verification.
 
 Both reductions are H diag(s) H^T with a zero diagonal, for the n x m
-incidence H and a per-hyperedge scale s. Hyperedges are split by size:
+incidence H and a per-hyperedge scale s. Hyperedges are split by size,
+per call, from two predicted costs:
 
 - small ones go through a sparse product, which costs the sum of their
   squared sizes (Σδ²), plus the handling of each output entry;
-- the largest ones, when their Σδ² is predicted to cost more, go through
-  one dense BLAS product, which costs n² multiply-adds per hyperedge,
-  built a block of rows at a time.
+- the largest ones (never of 64 nodes or fewer), when their Σδ² is
+  predicted to cost more, go through one dense BLAS product, which costs
+  n² multiply-adds per hyperedge, built a block of rows at a time.
 
-The split is chosen per call from that predicted cost; with no hyperedge
-above the cutoff only the sparse product runs. A ``ReducedGraph`` has one
-of two layouts. The sparse product alone gives CSR with sorted indices.
-The split build writes its row blocks into one n x n float64 array (8·n²
-bytes) when a per-row bound predicts at least 2/3 fill, where a CSR entry
-would cost 12 bytes, and n is at most ``DENSE_NODE_LIMIT``; otherwise it
-scans the blocks into CSR with no n x n temporary. The output is
-combinatorial in hyperedge size, so a dense copy is refused above
-``DENSE_NODE_LIMIT`` nodes.
+With no large hyperedge the sparse product is the whole result, as CSR
+with sorted indices. Otherwise entries differ from it only by summation
+order, and the row blocks go into one n x n float64 array (8·n² bytes)
+when a per-row bound predicts at least 2/3 fill, where a CSR entry would
+cost 12 bytes, and n is at most ``DENSE_NODE_LIMIT``; else they are
+scanned into CSR with no n x n temporary. Both layouts hold the same
+values. The output is combinatorial in hyperedge size, so a dense copy is
+refused above ``DENSE_NODE_LIMIT`` nodes.
 """
 
 from __future__ import annotations
@@ -49,19 +49,32 @@ __all__ = [
 DENSE_NODE_LIMIT = 20_000
 
 
+# Dense cells per row block of the split build, of dense row sums and of
+# IRMM's count table (2 MB of float64).
+_BLOCK_CELLS = 1 << 18
+
+
+def row_blocks(rows: int, cols: int):
+    """Yield (start, stop) of consecutive row blocks that cover ``rows``
+    rows of ``cols`` cells: at most ``_BLOCK_CELLS`` cells each, or one
+    row where a row alone holds more."""
+    step = max(1, _BLOCK_CELLS // max(1, cols))
+    for r0 in range(0, rows, step):
+        yield r0, min(rows, r0 + step)
+
+
 def _row_sums(dense: np.ndarray) -> np.ndarray:
     """Sums of each row's nonzero cells in column order, added exactly as
-    CSR ``sum(axis=1)`` adds the stored entries: one ``reduceat`` per block
-    of ``_BLOCK_CELLS`` cells, which no row spans, so blocks change no bits."""
+    CSR ``sum(axis=1)`` adds the stored entries: one ``reduceat`` per row
+    block, which no row spans, so blocks change no bits."""
     sums = np.zeros(dense.shape[0])
-    rows = max(1, _BLOCK_CELLS // max(1, dense.shape[1]))
-    for r0 in range(0, dense.shape[0], rows):
-        block = dense[r0 : r0 + rows]
+    for r0, r1 in row_blocks(*dense.shape):
+        block = dense[r0:r1]
         nonzero = block != 0.0
         counts = np.count_nonzero(nonzero, axis=1)
         starts = np.cumsum(counts) - counts
         filled = counts > 0
-        sums[r0 : r0 + rows][filled] = np.add.reduceat(block[nonzero], starts[filled])
+        sums[r0:r1][filled] = np.add.reduceat(block[nonzero], starts[filled])
     return sums
 
 
@@ -141,8 +154,6 @@ _SPARSE_MAX_SIZE = 64
 # dense cell into CSR about 7 ns.
 _GEMM_COST = 0.005
 _SCAN_COST = 0.5
-# Dense cells per row block of the split build and of dense row sums (2 MB).
-_BLOCK_CELLS = 1 << 18
 
 
 def _dense_edges(delta: np.ndarray, n: int):
@@ -174,49 +185,42 @@ def _dense_edges(delta: np.ndarray, n: int):
 
 
 def _expand(g: Hypergraph, edge_scale: np.ndarray) -> ReducedGraph:
-    """H diag(edge_scale) H^T with the diagonal removed."""
-    H = g.incidence()
-    Hs = H.copy()
-    Hs.data = Hs.data * edge_scale[Hs.indices]
-    large = _dense_edges(g.edge_degrees, g.n)
-    if large is not None:
-        return _expand_split(g, Hs, edge_scale, large)
-    prod = Hs @ H.T
-    return ReducedGraph(prod - sparse.diags(prod.diagonal()))
+    """H diag(edge_scale) H^T with the diagonal removed, split as the
+    module docstring describes.
 
-
-def _expand_split(g: Hypergraph, Hs, edge_scale: np.ndarray, large: np.ndarray):
-    """``_expand`` with the ``large`` hyperedges summed by BLAS.
-
-    Rows are built one block at a time: the sparse product of the block's
-    rows over the small hyperedges, densified, plus the BLAS product of the
-    block's rows of the dense large-edge incidence with all of it. A per-row
-    bound on the entries picks the layout. At 2/3 fill or more, and at most
-    ``DENSE_NODE_LIMIT`` nodes, the blocks are written into one n x n array.
-    There the sparse products of all blocks run first, then the BLAS
-    products, and only then does ``ReducedGraph`` sum the rows: BLAS threads
-    left idle between two calls spin, so a single-threaded step run between
-    them costs twice its time in CPU. Otherwise each block is scanned
-    straight into CSR arrays sized by the bound, and no n x n temporary is
-    formed. Both layouts store the same values.
+    H's columns of the small hyperedges (all of them when none is large)
+    are sliced once: the slice's transpose is the sparse product's right
+    factor, and the slice, scaled in place, its left one. The dense build
+    runs the sparse products of all row blocks first, then the BLAS
+    products, and only then does ``ReducedGraph`` sum the rows: BLAS
+    threads left idle between two calls spin, so a single-threaded step
+    run between them costs twice its time in CPU.
     """
     n = g.n
     H = g.incidence()
-    small_left = Hs[:, ~large].tocsr()
-    small_right = H[:, ~large].T.tocsr()
+    large = _dense_edges(g.edge_degrees, n)
+    small = np.ones(g.m, dtype=bool) if large is None else ~large
+    left = H[:, small]
+    right = left.T.tocsr()
+    left.data *= edge_scale[small][left.indices]
+    if large is None:
+        prod = left @ right
+        # Every node in a hyperedge has a stored diagonal entry, so zeroing
+        # only theirs inserts none; ``ReducedGraph`` drops the zeros.
+        edged = np.flatnonzero(np.diff(left.indptr))
+        prod[edged, edged] = 0.0
+        return ReducedGraph(prod)
     dense = H[:, large].toarray()
     dense_scale = edge_scale[large]
 
     # Row i has at most min(n - 1, sum over its edges of (size - 1)) entries.
     bound = np.minimum(n - 1, H @ (g.edge_degrees - 1.0)).astype(np.int64)
     capacity = int(bound.sum())
-    rows = max(1, _BLOCK_CELLS // n)
-    blocks = [(r0, min(n, r0 + rows)) for r0 in range(0, n, rows)]
     if 3 * capacity >= 2 * n * n and n <= DENSE_NODE_LIMIT:
         out = np.empty((n, n))
-        for r0, r1 in blocks:
-            (small_left[r0:r1] @ small_right).toarray(out=out[r0:r1])
-        for r0, r1 in blocks:
+        for r0, r1 in row_blocks(n, n):
+            (left[r0:r1] @ right).toarray(out=out[r0:r1])
+        for r0, r1 in row_blocks(n, n):
             out[r0:r1] += (dense[r0:r1] * dense_scale) @ dense.T
         np.fill_diagonal(out, 0.0)
         return ReducedGraph(out)
@@ -224,16 +228,16 @@ def _expand_split(g: Hypergraph, Hs, edge_scale: np.ndarray, large: np.ndarray):
     data = np.empty(capacity)
     indices = np.empty(capacity, dtype=index_dtype)
     indptr = np.zeros(n + 1, dtype=index_dtype)
-    columns = np.broadcast_to(np.arange(n, dtype=index_dtype), (rows, n)).copy()
+    columns = np.arange(n, dtype=index_dtype)
     end = 0
-    for r0, r1 in blocks:
-        block = (small_left[r0:r1] @ small_right).toarray()
+    for r0, r1 in row_blocks(n, n):
+        block = (left[r0:r1] @ right).toarray()
         block += (dense[r0:r1] * dense_scale) @ dense.T
         block[np.arange(r1 - r0), np.arange(r0, r1)] = 0.0
         mask = block != 0.0
         start, end = end, end + int(np.count_nonzero(mask))
         data[start:end] = block[mask]
-        indices[start:end] = columns[: r1 - r0][mask]
+        indices[start:end] = np.broadcast_to(columns, mask.shape)[mask]
         indptr[r0 + 1 : r1 + 1] = start + np.cumsum(np.count_nonzero(mask, axis=1))
     # Shrinking in place releases the unused tail without a second copy.
     data.resize(end, refcheck=False)
@@ -250,18 +254,9 @@ def degree_preserving_reduce(g: Hypergraph) -> ReducedGraph:
     """Expansion scaled per hyperedge by 1/(degree - 1).
 
     Row sums of the result equal the weighted hypergraph node degrees
-    (checked to 1e-9 relative). Requires every hyperedge to have at least
-    two nodes, i.e. a preprocessed hypergraph.
-
-    Hyperedges of size δ up to a cutoff are summed by a sparse product
-    costing Σδ² over them; larger ones, when present, by one BLAS product
-    costing n² multiply-adds each, built one block of rows at a time. The
-    cutoff (never below 65 nodes) is chosen per call from those two
-    predicted costs. With no hyperedge above it the result is exactly the
-    sparse product's, as CSR; otherwise entries differ from it only by
-    summation order, and a result predicted to be at least 2/3 full is kept
-    as a dense n x n array (8·n² bytes), with the same values and degrees
-    that CSR would hold.
+    (checked to 1e-9 relative, at any weight scale). Requires every
+    hyperedge to have at least two nodes, i.e. a preprocessed hypergraph.
+    The build and its two layouts are those of the module docstring.
     """
     delta = g.edge_degrees
     if int(delta.min()) < 2:
@@ -271,7 +266,7 @@ def degree_preserving_reduce(g: Hypergraph) -> ReducedGraph:
         )
     reduced = _expand(g, g.weights / (delta - 1.0))
     expected = degrees(g).node_degrees
-    if not np.allclose(reduced.node_degrees, expected, rtol=1e-9, atol=1e-12):
+    if not np.allclose(reduced.node_degrees, expected, rtol=1e-9, atol=0.0):
         raise RuntimeError(
             "row sums of the degree-preserving reduction drifted from the"
             " hypergraph node degrees"

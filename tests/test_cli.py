@@ -53,6 +53,15 @@ class TestCluster:
         assert code == 0
         assert json.loads(metrics.read_text())["num_clusters"] == 2
 
+    def test_tiny_weights_fail_with_an_error_line(self, tmp_path, capsys):
+        # 2m = 6e-300, whose square underflows to 0.
+        hgr = tmp_path / "tiny.hgr"
+        hgr.write_text("3 4 1\n1e-300 1 2\n1e-300 2 3\n1e-300 3 4\n")
+        assert run("cluster", "--input", hgr, "--method", "hlouvain") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: total edge weight 2m = 6e-300 lies outside")
+        assert "Traceback" not in err
+
     def test_k_above_cluster_count_fails(self, synth_files, tmp_path, capsys):
         hgr, _ = synth_files
         code = run(

@@ -136,6 +136,26 @@ class TestLouvain:
         with pytest.raises(ValueError, match="non-negative and integral, got 1.5"):
             LouvainConfig(seed=1.5)
 
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize("exponent", [300, -300])
+    def test_power_of_two_weight_scaling_changes_nothing(self, layout, exponent):
+        g = preprocess(generate(GenConfig(n=200, classes=4, seed=3))[0])
+        graphs = []
+        for weights in (g.weights, g.weights * 2.0**exponent):
+            rg = degree_preserving_reduce(g.with_weights(weights))
+            adjacency = rg.to_dense() if layout == "dense" else rg.adjacency
+            graphs.append(ReducedGraph(adjacency))
+        base, scaled = (louvain(graph) for graph in graphs)
+        assert np.array_equal(scaled.partition.assignment, base.partition.assignment)
+        assert scaled.modularity == base.modularity
+
+    def test_rejects_a_total_weight_whose_square_overflows(self):
+        # At 2m near 2**600, (2m)² is inf and every gain NaN.
+        g = preprocess(generate(GenConfig(n=200, classes=4, seed=3))[0])
+        rg = degree_preserving_reduce(g.with_weights(g.weights * 2.0**600))
+        with pytest.raises(ValueError, match=r"outside \[2\*\*-510, 2\*\*510\]"):
+            louvain(rg)
+
     def test_empty_graph_rejected(self):
         g = Hypergraph(3, [[0, 1]])
         rg = degree_preserving_reduce(g)

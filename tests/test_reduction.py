@@ -111,6 +111,19 @@ class TestDegreePreservingReduce:
         with pytest.raises(ValueError, match="preprocess"):
             degree_preserving_reduce(g)
 
+    def test_degree_check_is_relative_at_every_scale(self, monkeypatch):
+        # Row sums off by one part in a million fail the check even where
+        # the degrees (about 1e-20) are far below any absolute tolerance.
+        expand = reduction._expand
+        monkeypatch.setattr(
+            reduction,
+            "_expand",
+            lambda g, scale: ReducedGraph(expand(g, scale).adjacency * (1 + 1e-6)),
+        )
+        g = Hypergraph(4, [[0, 1, 2], [1, 2, 3], [0, 3]], [1e-20, 2e-20, 3e-20])
+        with pytest.raises(RuntimeError, match="drifted"):
+            degree_preserving_reduce(g)
+
 
 class TestStructure:
     def test_symmetry_and_zero_diagonal(self, mixed_corpus):
@@ -178,6 +191,41 @@ def large_edge_hypergraph(rng, weighted):
     ]
     weights = rng.uniform(0.5, 3.0, size=len(edges)) if weighted else None
     return Hypergraph(n, edges, weights)
+
+
+class TestPipeline:
+    """The one operand pipeline of ``_expand``, on both of its paths."""
+
+    @pytest.mark.parametrize("reduce_fn", [clique_reduce, degree_preserving_reduce])
+    def test_incidence_stays_all_ones(self, reduce_fn):
+        # The scaled left factor is a copy of H's columns, never a view.
+        rng = np.random.default_rng(21)
+        plain = random_hypergraph(rng, n_max=60, weighted=True)
+        split = large_edge_hypergraph(rng, weighted=True)
+        assert _dense_edges(plain.edge_degrees, plain.n) is None
+        assert _dense_edges(split.edge_degrees, split.n) is not None
+        for g in (plain, split):
+            H = g.incidence()
+            reduce_fn(g)
+            assert g.incidence() is H
+            assert np.all(H.data == 1.0)
+
+    def test_isolated_nodes_on_the_plain_path(self):
+        # Nodes 0, 4 and 7 are in no hyperedge: the product stores no
+        # diagonal entry for them, and zeroing the diagonal inserts none.
+        g = Hypergraph(8, [[1, 2, 3], [2, 3], [5, 6, 1]], [1.5, 2.0, 0.75])
+        delta = g.edge_degrees
+        for rg, scale in (
+            (clique_reduce(g), g.weights),
+            (degree_preserving_reduce(g), g.weights / (delta - 1.0)),
+        ):
+            A = rg.adjacency
+            assert rg.dense is None
+            assert np.array_equal(A.toarray(), expansion_by_pairs(g, scale))
+            assert np.all(A.data != 0.0)
+            rows = np.repeat(np.arange(g.n), np.diff(A.indptr))
+            assert not np.any(A.indices == rows), "stored diagonal entry"
+            assert rg.node_degrees[[0, 4, 7]].tolist() == [0.0, 0.0, 0.0]
 
 
 class TestDensePath:
