@@ -20,13 +20,18 @@ per call, from two predicted costs:
   n² multiply-adds per hyperedge, built a block of rows at a time.
 
 With no large hyperedge the sparse product is the whole result, as CSR
-with sorted indices. Otherwise entries differ from it only by summation
-order, and the row blocks go into one n x n float64 array (8·n² bytes)
-when a per-row bound predicts at least 2/3 fill, where a CSR entry would
-cost 12 bytes, and n is at most ``DENSE_NODE_LIMIT``; else they are
-scanned into CSR with no n x n temporary. Both layouts hold the same
-values. The output is combinatorial in hyperedge size, so a dense copy is
-refused above ``DENSE_NODE_LIMIT`` nodes.
+with sorted indices. Otherwise only the upper triangle is computed: row
+block r0:r1 takes both products against columns r0:n alone, so entries
+differ from the plain product only by summation order. When a per-row
+bound predicts at least 2/3 fill, where a CSR entry would cost 12 bytes,
+and n is at most ``DENSE_NODE_LIMIT``, the blocks go into one n x n
+float64 array (8·n² bytes) whose strict upper triangle is then copied
+onto the lower one, a row block at a time. Else they are scanned into
+the strict upper triangle U as CSR, with no n x n temporary, and the
+result is U + Uᵀ; forming that sum holds U, Uᵀ and the result at once,
+about twice the result's own bytes (README "Memory"). Both layouts hold
+the same bits, and both are exactly symmetric. The output is combinatorial in hyperedge
+size, so a dense copy is refused above ``DENSE_NODE_LIMIT`` nodes.
 """
 
 from __future__ import annotations
@@ -162,10 +167,11 @@ def _dense_edges(delta: np.ndarray, n: int):
     Moving the k largest hyperedges to the dense product saves their sparse
     cost, the sum of their squared sizes, and costs n*n*k BLAS
     multiply-adds plus one scan of all n*n dense cells. The k with the
-    largest predicted saving wins. A cut never splits a size class, keeps
-    every hyperedge of at most ``_SPARSE_MAX_SIZE`` nodes sparse and moves
-    at most n hyperedges, so the dense factor is never larger than an n x n
-    output.
+    largest predicted saving wins. These are the costs of both triangles;
+    building one about halves the sparse and the BLAS side alike. A cut
+    never splits a size class, keeps every hyperedge of at most
+    ``_SPARSE_MAX_SIZE`` nodes sparse and moves at most n hyperedges, so
+    the dense factor is never larger than an n x n output.
     """
     if delta.size == 0 or delta.max() <= _SPARSE_MAX_SIZE:
         return None
@@ -192,9 +198,9 @@ def _expand(g: Hypergraph, edge_scale: np.ndarray) -> ReducedGraph:
     are sliced once: the slice's transpose is the sparse product's right
     factor, and the slice, scaled in place, its left one. The dense build
     runs the sparse products of all row blocks first, then the BLAS
-    products, and only then does ``ReducedGraph`` sum the rows: BLAS
-    threads left idle between two calls spin, so a single-threaded step
-    run between them costs twice its time in CPU.
+    products, and only then mirrors the triangle and lets ``ReducedGraph``
+    sum the rows: BLAS threads left idle between two calls spin, so a
+    single-threaded step run between them costs twice its time in CPU.
     """
     n = g.n
     H = g.incidence()
@@ -215,15 +221,26 @@ def _expand(g: Hypergraph, edge_scale: np.ndarray) -> ReducedGraph:
 
     # Row i has at most min(n - 1, sum over its edges of (size - 1)) entries.
     bound = np.minimum(n - 1, H @ (g.edge_degrees - 1.0)).astype(np.int64)
-    capacity = int(bound.sum())
-    if 3 * capacity >= 2 * n * n and n <= DENSE_NODE_LIMIT:
+    if 3 * int(bound.sum()) >= 2 * n * n and n <= DENSE_NODE_LIMIT:
         out = np.empty((n, n))
         for r0, r1 in row_blocks(n, n):
-            (left[r0:r1] @ right).toarray(out=out[r0:r1])
+            block = left[r0:r1] @ right[:, r0:]
+            # Shifted to the columns of ``out``, the block fills its rows in
+            # place; the cells it zeroes below the diagonal are mirrored over.
+            block.indices += r0
+            shifted = (block.data, block.indices, block.indptr)
+            sparse.csr_matrix(shifted, shape=(r1 - r0, n)).toarray(out=out[r0:r1])
         for r0, r1 in row_blocks(n, n):
-            out[r0:r1] += (dense[r0:r1] * dense_scale) @ dense.T
+            out[r0:r1, r0:] += (dense[r0:r1] * dense_scale) @ dense[r0:].T
+        for r0, r1 in row_blocks(n, n):
+            # The strict lower triangle copies the strict upper one.
+            out[r0:r1, :r0] = out[:r0, r0:r1].T
+            corner = out[r0:r1, r0:r1]
+            np.copyto(corner, corner.T, where=np.tri(r1 - r0, k=-1, dtype=bool))
         np.fill_diagonal(out, 0.0)
         return ReducedGraph(out)
+    # Row i of the strict upper triangle U has at most n - 1 - i entries.
+    capacity = int(np.minimum(bound, np.arange(n - 1, -1, -1)).sum())
     index_dtype = np.int32 if capacity < 2**31 else np.int64
     data = np.empty(capacity)
     indices = np.empty(capacity, dtype=index_dtype)
@@ -231,18 +248,19 @@ def _expand(g: Hypergraph, edge_scale: np.ndarray) -> ReducedGraph:
     columns = np.arange(n, dtype=index_dtype)
     end = 0
     for r0, r1 in row_blocks(n, n):
-        block = (left[r0:r1] @ right).toarray()
-        block += (dense[r0:r1] * dense_scale) @ dense.T
-        block[np.arange(r1 - r0), np.arange(r0, r1)] = 0.0
-        mask = block != 0.0
+        block = (left[r0:r1] @ right[:, r0:]).toarray()
+        block += (dense[r0:r1] * dense_scale) @ dense[r0:].T
+        # Row r0 + i keeps columns j > r0 + i.
+        mask = np.triu(block != 0.0, 1)
         start, end = end, end + int(np.count_nonzero(mask))
         data[start:end] = block[mask]
-        indices[start:end] = np.broadcast_to(columns, mask.shape)[mask]
+        indices[start:end] = np.broadcast_to(columns[r0:], mask.shape)[mask]
         indptr[r0 + 1 : r1 + 1] = start + np.cumsum(np.count_nonzero(mask, axis=1))
     # Shrinking in place releases the unused tail without a second copy.
     data.resize(end, refcheck=False)
     indices.resize(end, refcheck=False)
-    return ReducedGraph(sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
+    upper = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    return ReducedGraph(upper + upper.T)
 
 
 def clique_reduce(g: Hypergraph) -> ReducedGraph:
@@ -255,8 +273,10 @@ def degree_preserving_reduce(g: Hypergraph) -> ReducedGraph:
 
     Row sums of the result equal the weighted hypergraph node degrees
     (checked to 1e-9 relative, at any weight scale). Requires every
-    hyperedge to have at least two nodes, i.e. a preprocessed hypergraph.
-    The build and its two layouts are those of the module docstring.
+    hyperedge to have at least two nodes, i.e. a preprocessed hypergraph,
+    and every weight / (degree - 1) to be a normal float64, at least
+    ``np.finfo(float).tiny``; raises ``ValueError`` otherwise. The build
+    and its two layouts are those of the module docstring.
     """
     delta = g.edge_degrees
     if int(delta.min()) < 2:
@@ -264,7 +284,15 @@ def degree_preserving_reduce(g: Hypergraph) -> ReducedGraph:
             "degree-preserving reduction needs every hyperedge degree >= 2;"
             " run preprocess() first"
         )
-    reduced = _expand(g, g.weights / (delta - 1.0))
+    scale = g.weights / (delta - 1.0)
+    # A subnormal scale rounds by more than the degree check allows.
+    smallest, tiny = float(scale.min()), float(np.finfo(np.float64).tiny)
+    if smallest < tiny:
+        raise ValueError(
+            f"hyperedge weight / (degree - 1) = {smallest!r} lies below the"
+            f" smallest normal float64, {tiny!r}; rescale the weights"
+        )
+    reduced = _expand(g, scale)
     expected = degrees(g).node_degrees
     if not np.allclose(reduced.node_degrees, expected, rtol=1e-9, atol=0.0):
         raise RuntimeError(

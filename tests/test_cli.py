@@ -62,6 +62,27 @@ class TestCluster:
         assert err.startswith("error: total edge weight 2m = 6e-300 lies outside")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("method", ["hlouvain", "irmm"])
+    def test_subnormal_weights_fail_with_an_error_line(self, tmp_path, capsys, method):
+        # Weights of 1e-318 to 3e-318 make every weight / (degree - 1)
+        # subnormal, below the limit of the degree-preserving reduction.
+        edges = [
+            "1 2 3", "3 4 5", "5 6 7 8", "8 9", "9 10 11", "11 12", "12 1 6", "2 4",
+        ]
+        hgr = tmp_path / "subnormal.hgr"
+        lines = [f"{1 + i % 3}e-318 {nodes}" for i, nodes in enumerate(edges)]
+        hgr.write_text("8 12 1\n" + "\n".join(lines) + "\n")
+        code = run(
+            "cluster", "--input", hgr, "--method", method,
+            "--partition-out", tmp_path / "p.tsv",
+            "--metrics-out", tmp_path / "m.json",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: hyperedge weight / (degree - 1) = ")
+        assert "smallest normal float64" in err
+        assert "Traceback" not in err
+
     def test_k_above_cluster_count_fails(self, synth_files, tmp_path, capsys):
         hgr, _ = synth_files
         code = run(

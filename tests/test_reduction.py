@@ -378,6 +378,59 @@ class TestDenseLayout:
         )
 
 
+def both_layouts(g, reduce_fn, monkeypatch):
+    """The dense layout of a split reduction, then the CSR scan of the same
+    blocks with the dense layout refused."""
+    dense = reduce_fn(g)
+    with monkeypatch.context() as patch:
+        patch.setattr(reduction, "DENSE_NODE_LIMIT", 0)
+        csr = reduce_fn(g)
+    assert dense.dense is not None and csr.dense is None
+    return dense, csr
+
+
+class TestTriangleBuild:
+    """A split build computes the upper triangle once, and both layouts
+    complete it from the same bits."""
+
+    @pytest.fixture(scope="class")
+    def g(self):
+        return preprocess(generate(GenConfig(n=300, seed=1))[0])
+
+    @pytest.mark.parametrize("reduce_fn", [clique_reduce, degree_preserving_reduce])
+    def test_both_layouts_are_exactly_symmetric(self, g, reduce_fn, monkeypatch):
+        # Row blocks that each computed both triangles left 610 entries of
+        # this reduction one ulp away from their transpose.
+        dense, csr = both_layouts(g, reduce_fn, monkeypatch)
+        assert np.array_equal(bits(dense.dense), bits(dense.dense.T))
+        A = csr.adjacency.toarray()
+        assert np.array_equal(bits(A), bits(A.T))
+        assert (csr.adjacency != csr.adjacency.T).nnz == 0
+
+    def test_block_edges_cross_the_triangle(self, g, monkeypatch):
+        # 2**12 cells give row blocks of 13 rows at n = 300 (one block of
+        # all rows at the default size), so products, mirror and scan meet
+        # many block edges.
+        monkeypatch.setattr(reduction, "_BLOCK_CELLS", 2**12)
+        assert len(list(reduction.row_blocks(g.n, g.n))) > 20
+        dense, csr = both_layouts(g, degree_preserving_reduce, monkeypatch)
+        A = csr.adjacency.toarray()
+        assert np.array_equal(bits(dense.dense), bits(A))
+        assert np.array_equal(bits(A), bits(A.T))
+        assert np.array_equal(bits(dense.node_degrees), bits(csr.node_degrees))
+        want = expansion_by_pairs(g, g.weights / (g.edge_degrees - 1.0))
+        for got in (dense.dense, A):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_subnormal_scale_is_rejected(self):
+        # 1e-318 / 2 is subnormal, where the degree check cannot hold.
+        g = Hypergraph(4, [[0, 1, 2], [1, 2, 3], [0, 3]], [1e-318, 2e-318, 3e-318])
+        with pytest.raises(ValueError, match="smallest normal float64"):
+            degree_preserving_reduce(g)
+        with pytest.raises(ValueError, match="smallest normal float64"):
+            random_walk_matrix(g)
+
+
 class TestRandomWalk:
     def test_forced_transition(self):
         g = Hypergraph(2, [[0, 1]])
