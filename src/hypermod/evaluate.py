@@ -41,7 +41,7 @@ def symmetric_f1(pred: Partition, truth: Partition) -> float:
 
 
 def pin_counts(g: Hypergraph, partition: Partition) -> sparse.csr_matrix:
-    """The m x c pin-count matrix K = Hᵀ·M, H being ``g``'s incidence.
+    """The m x c pin-count matrix K = Hᵀ·M, Hᵀ being ``g.rows``.
 
     K[e, C] counts hyperedge e's nodes in cluster C. An int64 CSR with
     sorted indices and no stored zeros: row e lists the nonzero counts in
@@ -49,8 +49,8 @@ def pin_counts(g: Hypergraph, partition: Partition) -> sparse.csr_matrix:
     """
     if len(partition) != g.n:
         raise ValueError("partition does not cover the hypergraph's nodes")
-    counts = g.incidence().T @ membership(partition.assignment, partition.c)
-    counts = counts.tocsr().astype(np.int64)
+    counts = g.rows @ membership(partition.assignment, partition.c)
+    counts = counts.astype(np.int64)
     counts.sort_indices()
     return counts
 

@@ -1,8 +1,9 @@
 """Hypergraph container, hMETIS-style file I/O, and preprocessing.
 
-Hyperedges are the rows of one m x n CSR matrix, kept as ``pins`` (each
-hyperedge's sorted distinct 0-based nodes in turn) and ``edge_degrees``,
-each with a strictly positive weight. The file format is the hMETIS
+A hypergraph stores its hyperedges as the rows of one m x n CSR matrix,
+``rows``, each hyperedge with a strictly positive weight; ``pins`` (each
+hyperedge's sorted distinct 0-based nodes in turn), ``edge_degrees`` and
+``edges`` are read from it. The file format is the hMETIS
 convention: a header line ``m n [fmt]`` followed by one line per hyperedge
 with 1-based node indices, where ``fmt`` of ``1`` means each line starts
 with a hyperedge weight. Lines beginning with ``%`` are comments.
@@ -47,12 +48,13 @@ class Hypergraph:
     """Weighted hypergraph over nodes ``0 .. n-1``.
 
     Duplicate node mentions within a hyperedge are dropped silently, so a
-    hyperedge's degree is the number of distinct nodes it contains.
-    The hyperedges are stored as ``pins``: the sorted distinct nodes of
-    every hyperedge, concatenated in edge order, hyperedge j taking the
-    next ``edge_degrees[j]``. They index one m x n CSR matrix (n < 2**63)
-    whose rows scipy sorts and deduplicates; ``incidence()`` transposes it.
-    ``edges`` gives the same nodes as one array per hyperedge.
+    hyperedge's degree is the number of distinct nodes it contains; node
+    counts, ids and labels must be integers (2.0 passes, 2.5 does not).
+    The one stored structure is ``rows``, the m x n CSR of float ones whose
+    row j holds hyperedge j's sorted distinct nodes (n < 2**63). Read from
+    it are ``edge_degrees``, ``pins`` (all rows' nodes in edge order, as
+    int64), ``edges`` (one array per hyperedge) and, built on request, the
+    n x m ``incidence()``.
     ``node_labels`` optionally records external identifiers; it is carried
     through preprocessing so results can be reported against the original
     numbering. After ``load`` they are the 1-based file ids. A graph built
@@ -63,12 +65,12 @@ class Hypergraph:
     """
 
     def __init__(self, n, edges, weights=None, node_labels=None):
-        n = int(n)
         if n < 1:
             raise ValueError("node count must be at least 1")
         if n > _MAX_INDEX:
             raise ValueError("node count must fit a 64-bit integer")
-        arrays = [np.asarray(edge, dtype=np.int64).ravel() for edge in edges]
+        n = int(int64_array(n, "node count must be an integer"))
+        arrays = [int64_array(e, "node ids must be integers").ravel() for e in edges]
         m = len(arrays)
         if m == 0:
             raise ValueError("hypergraph must have at least one hyperedge")
@@ -84,35 +86,31 @@ class Hypergraph:
                 raise ValueError(f"hyperedge {idx} has no nodes")
             raise ValueError(f"hyperedge {idx} has a node index outside [0, {n})")
 
-        # One row per hyperedge; scipy sorts each row and drops repeats.
-        ones = np.ones(flat.size, dtype=bool)
-        rows = sparse.csr_matrix((ones, flat, offsets), shape=(m, n))
+        # One row per hyperedge: scipy sorts each row and sums repeats, reset to 1.
+        rows = sparse.csr_matrix((np.ones(flat.size), flat, offsets), shape=(m, n))
         rows.sum_duplicates()
+        rows.data[:] = 1.0
 
         w = _edge_weights(weights, m)
         if node_labels is not None:
-            node_labels = np.asarray(node_labels, dtype=np.int64).copy()
+            node_labels = int64_array(node_labels, "node labels must be integers").copy()
             if node_labels.shape != (n,):
                 raise ValueError("need exactly one label per node")
+        self._store(rows, w, node_labels)
 
-        self.n = n
-        self.m = m
-        self.pins = rows.indices.astype(np.int64)
+    def _store(self, rows, weights, node_labels):
+        """Keep ``rows``, which must already be canonical; returns self."""
+        self.m, self.n = rows.shape
+        self.rows = rows
         self.edge_degrees = np.diff(rows.indptr).astype(np.int64)
-        self.weights = w
+        self.weights = weights
         self.node_labels = node_labels
+        return self
 
-    @classmethod
-    def _from_pins(cls, n, pins, edge_degrees, weights, node_labels):
-        """Instance over arrays that already meet the class invariants."""
-        g = cls.__new__(cls)
-        g.n = n
-        g.m = edge_degrees.size
-        g.pins = pins
-        g.edge_degrees = edge_degrees
-        g.weights = weights
-        g.node_labels = node_labels
-        return g
+    @cached_property
+    def pins(self):
+        """Every hyperedge's sorted distinct nodes, concatenated (int64)."""
+        return self.rows.indices.astype(np.int64)
 
     @cached_property
     def edges(self):
@@ -120,25 +118,18 @@ class Hypergraph:
         ends = np.cumsum(self.edge_degrees).tolist()
         return tuple(self.pins[lo:hi] for lo, hi in zip([0, *ends], ends))
 
-    @cached_property
-    def _incidence(self):
-        offsets = np.concatenate(([0], np.cumsum(self.edge_degrees)))
-        rows = (np.ones(self.pins.size), self.pins, offsets)
-        return sparse.csr_matrix(rows, shape=(self.m, self.n)).T.tocsr()
-
     def incidence(self):
-        """Node-by-hyperedge membership matrix (CSR, float 0/1)."""
-        return self._incidence
+        """The n x m node-by-hyperedge matrix, ``rows`` transposed: a new
+        CSR of float ones, built on each call."""
+        return self.rows.T.tocsr()
 
     def with_weights(self, weights):
         """Copy of this hypergraph with a new weight vector.
 
-        Only the new weights are validated. The copy shares ``pins``,
-        ``edge_degrees``, ``node_labels`` and the incidence matrix, built
-        here once, with this instance.
+        Only the new weights are validated. The copy shares ``rows``,
+        ``edge_degrees`` and ``node_labels`` with this instance.
         """
         weights = _edge_weights(weights, self.m)
-        self.incidence()
         g = copy.copy(self)
         g.weights = weights
         return g
@@ -158,10 +149,23 @@ class Hypergraph:
             return False
         return np.array_equal(
             self.edge_degrees, other.edge_degrees
-        ) and np.array_equal(self.pins, other.pins)
+        ) and np.array_equal(self.rows.indices, other.rows.indices)
 
     def __repr__(self):
         return f"Hypergraph(n={self.n}, m={self.m})"
+
+
+def int64_array(values, message):
+    """``values`` as int64 (an int64 array is returned as it is); raises
+    ``ValueError(message)`` unless every value is an integer int64 holds."""
+    given = np.asarray(values)
+    if given.dtype == np.int64:
+        return given
+    with np.errstate(invalid="ignore"):  # nan and inf fail the check below
+        ints = given.astype(np.int64)
+    if not np.array_equal(ints, given):
+        raise ValueError(message)
+    return ints
 
 
 def _edge_weights(weights, m):
@@ -193,7 +197,7 @@ class DegreeView:
 
 def degrees(g: Hypergraph) -> DegreeView:
     """Compute weighted node degrees and integer hyperedge degrees."""
-    d = g.incidence() @ g.weights
+    d = g.rows.T @ g.weights
     return DegreeView(d, g.edge_degrees.copy(), float(d.sum()))
 
 
@@ -378,10 +382,9 @@ def preprocess(g: Hypergraph) -> Hypergraph:
     if dropped == g.m:
         raise ValueError("hypergraph is empty after removing singleton hyperedges")
 
-    pin_kept = np.repeat(keep, g.edge_degrees)
-    pins = g.pins[pin_kept]
-    degrees = g.edge_degrees[keep]
-    label = _component_labels(g.n, pins, degrees)
+    # Selecting rows copies the matrix, so select only when some go.
+    rows = g.rows[keep] if dropped else g.rows
+    label = _component_labels(g.n, rows.indices, g.edge_degrees[keep])
 
     # argmax takes the first of equal sizes: the lowest label.
     best = int(np.argmax(np.bincount(label, minlength=g.n)))
@@ -389,12 +392,12 @@ def preprocess(g: Hypergraph) -> Hypergraph:
     remap = np.full(g.n, -1, dtype=np.int64)
     remap[kept_nodes] = np.arange(kept_nodes.size)
 
-    inside = label[pins[np.cumsum(degrees) - degrees]] == best
+    inside = label[rows.indices[rows.indptr[:-1]]] == best
+    if not inside.all():
+        rows = rows[inside]
+    # Kept nodes keep their order, so the remapped rows stay sorted.
+    shape = (rows.shape[0], kept_nodes.size)
+    rows = sparse.csr_matrix((rows.data, remap[rows.indices], rows.indptr), shape)
     old_labels = g.node_labels if g.node_labels is not None else np.arange(g.n)
-    return Hypergraph._from_pins(
-        kept_nodes.size,
-        remap[pins[np.repeat(inside, degrees)]],
-        degrees[inside],
-        g.weights[keep][inside],
-        old_labels[kept_nodes],
-    )
+    kept = Hypergraph.__new__(Hypergraph)
+    return kept._store(rows, g.weights[keep][inside], old_labels[kept_nodes])

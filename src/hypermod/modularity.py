@@ -43,6 +43,7 @@ import heapq
 import numpy as np
 from scipy import sparse
 
+from .hypergraph import int64_array
 from .reduction import ReducedGraph
 
 # Most candidate clusters a visit scores with Python scalars, in the dict
@@ -78,11 +79,7 @@ class Partition:
     """Assignment of every node to one of c clusters with dense ids 0..c-1."""
 
     def __init__(self, assignment):
-        given = np.asarray(assignment)
-        with np.errstate(invalid="ignore"):  # nan and inf fail the check below
-            assignment = given.astype(np.int64)
-        if not np.array_equal(assignment, given):
-            raise ValueError("cluster ids must be integers")
+        assignment = int64_array(np.array(assignment), "cluster ids must be integers")
         if assignment.ndim != 1 or assignment.size == 0:
             raise ValueError("assignment must be a nonempty 1-d array")
         if assignment.min() < 0:

@@ -10,11 +10,12 @@ proportional to weight, then a different member uniformly) is exposed for
 verification.
 
 Both reductions are H diag(s) H^T with a zero diagonal, for the n x m
-incidence H and a per-hyperedge scale s. Hyperedges are split by size,
-per call, from two predicted costs:
+incidence H, read as its transpose ``rows``, and a per-hyperedge scale s.
+Hyperedges are split by size, per call, from two predicted costs:
 
-- small ones go through a sparse product, which costs the sum of their
-  squared sizes (Σδ²), plus the handling of each output entry;
+- the rows of the small hyperedges go through a sparse product, which
+  costs the sum of their squared sizes (Σδ²), plus the handling of each
+  output entry;
 - the largest ones (never of 64 nodes or fewer), when their Σδ² is
   predicted to cost more, go through one dense BLAS product, which costs
   n² multiply-adds per hyperedge, built a block of rows at a time.
@@ -194,21 +195,19 @@ def _expand(g: Hypergraph, edge_scale: np.ndarray) -> ReducedGraph:
     """H diag(edge_scale) H^T with the diagonal removed, split as the
     module docstring describes.
 
-    H's columns of the small hyperedges (all of them when none is large)
-    are sliced once: the slice's transpose is the sparse product's right
-    factor, and the slice, scaled in place, its left one. The dense build
-    runs the sparse products of all row blocks first, then the BLAS
-    products, and only then mirrors the triangle and lets ``ReducedGraph``
-    sum the rows: BLAS threads left idle between two calls spin, so a
-    single-threaded step run between them costs twice its time in CPU.
+    The rows of the small hyperedges (all of them when none is large) are
+    the sparse product's right factor, and their transpose, a new CSR
+    scaled in place, its left one. The dense build runs the sparse
+    products of all row blocks first, then the BLAS products, and only
+    then mirrors the triangle and lets ``ReducedGraph`` sum the rows: BLAS
+    threads left idle between two calls spin, so a single-threaded step
+    run between them costs twice its time in CPU.
     """
     n = g.n
-    H = g.incidence()
     large = _dense_edges(g.edge_degrees, n)
-    small = np.ones(g.m, dtype=bool) if large is None else ~large
-    left = H[:, small]
-    right = left.T.tocsr()
-    left.data *= edge_scale[small][left.indices]
+    right = g.rows if large is None else g.rows[~large]
+    left = right.T.tocsr()
+    left.data *= (edge_scale if large is None else edge_scale[~large])[left.indices]
     if large is None:
         prod = left @ right
         # Every node in a hyperedge has a stored diagonal entry, so zeroing
@@ -216,11 +215,11 @@ def _expand(g: Hypergraph, edge_scale: np.ndarray) -> ReducedGraph:
         edged = np.flatnonzero(np.diff(left.indptr))
         prod[edged, edged] = 0.0
         return ReducedGraph(prod)
-    dense = H[:, large].toarray()
+    dense = g.rows[large].T.toarray()
     dense_scale = edge_scale[large]
 
     # Row i has at most min(n - 1, sum over its edges of (size - 1)) entries.
-    bound = np.minimum(n - 1, H @ (g.edge_degrees - 1.0)).astype(np.int64)
+    bound = np.minimum(n - 1, g.rows.T @ (g.edge_degrees - 1.0)).astype(np.int64)
     if 3 * int(bound.sum()) >= 2 * n * n and n <= DENSE_NODE_LIMIT:
         out = np.empty((n, n))
         for r0, r1 in row_blocks(n, n):

@@ -8,6 +8,7 @@ paths it verifies.
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 
 
 def modularity_double_sum(adjacency, labels):
@@ -579,6 +580,14 @@ def symmetric_f1_tables(pred, truth):
     forward = f1.max(axis=1).mean()
     backward = f1.max(axis=0).mean()
     return float((forward + backward) / 2.0)
+
+
+def incidence_from_pins(g):
+    """The n x m incidence CSR built from ``g.pins`` and ``g.edge_degrees``,
+    as the library built it before it read its stored rows."""
+    offsets = np.concatenate(([0], np.cumsum(g.edge_degrees)))
+    rows = (np.ones(g.pins.size), g.pins, offsets)
+    return sparse.csr_matrix(rows, shape=(g.m, g.n)).T.tocsr()
 
 
 def bits(x):

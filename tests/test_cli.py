@@ -3,8 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from hypermod import GenConfig, generate, write_hmetis, write_labels
+from hypermod import (
+    GenConfig,
+    Hypergraph,
+    generate,
+    preprocess,
+    write_hmetis,
+    write_labels,
+)
 from hypermod.cli import main
+from hypermod.reduction import _dense_edges
 
 
 @pytest.fixture()
@@ -81,6 +89,16 @@ class TestCluster:
         err = capsys.readouterr().err
         assert err.startswith("error: hyperedge weight / (degree - 1) = ")
         assert "smallest normal float64" in err
+        assert "Traceback" not in err
+
+    def test_unallocatable_node_count_fails_with_an_error_line(self, tmp_path, capsys):
+        # 10**18 labels take 8 EiB, more than any address space holds, so
+        # the allocation fails at once.
+        hgr = tmp_path / "huge.hgr"
+        hgr.write_text("1 1000000000000000000\n1 2\n")
+        assert run("cluster", "--input", hgr, "--method", "hlouvain") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate")
         assert "Traceback" not in err
 
     def test_k_above_cluster_count_fails(self, synth_files, tmp_path, capsys):
@@ -191,6 +209,37 @@ class TestCluster:
         err = capsys.readouterr().err
         assert named in err
         assert "missing.hgr" not in err
+
+
+@pytest.mark.parametrize(
+    "cfg, split",
+    [
+        (GenConfig(n=200, seed=1), True),
+        (GenConfig(n=400, size_buckets=((1.0, 2, 6),), seed=1), False),
+    ],
+    ids=["split", "plain"],
+)
+def test_no_command_builds_the_node_major_incidence(tmp_path, monkeypatch, cfg, split):
+    g, truth = generate(cfg)
+    kept = preprocess(g)
+    assert (_dense_edges(kept.edge_degrees, kept.n) is not None) == split
+    hgr, labels = tmp_path / "g.hgr", tmp_path / "g.labels"
+    write_hmetis(g, hgr)
+    write_labels(truth.assignment, labels)
+
+    def refuse(self):
+        raise AssertionError("incidence() built")
+
+    monkeypatch.setattr(Hypergraph, "incidence", refuse)
+    for method in ("irmm", "hlouvain", "clique-louvain"):
+        part = tmp_path / f"{method}.tsv"
+        assert run(
+            "cluster", "--input", hgr, "--method", method, "--truth", labels,
+            "--k", 2, "--partition-out", part,
+            "--metrics-out", tmp_path / f"{method}.json",
+        ) == 0
+        assert run("stats", "--input", hgr, "--partition", part) == 0
+        assert run("eval", "--pred", part, "--truth", labels) == 0
 
 
 class TestEval:

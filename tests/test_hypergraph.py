@@ -4,6 +4,7 @@ import pytest
 from hypermod import (
     FormatError,
     Hypergraph,
+    Partition,
     degrees,
     load,
     load_labels,
@@ -12,9 +13,16 @@ from hypermod import (
     write_hmetis,
     write_labels,
 )
+from hypermod.evaluate import pin_counts
+from hypermod.modularity import membership
 
 from conftest import random_hypergraph
-from oracles import bits, canonical_edges_by_unique, preprocess_union_find
+from oracles import (
+    bits,
+    canonical_edges_by_unique,
+    incidence_from_pins,
+    preprocess_union_find,
+)
 
 
 class TestLoad:
@@ -118,6 +126,26 @@ class TestConstructor:
         with pytest.raises(ValueError, match="64-bit"):
             Hypergraph(2**64, [[0, 1]])
 
+    @pytest.mark.parametrize(
+        "n, edges, labels, message",
+        [
+            (3, [[0.5, 1.7]], None, "node ids must be integers"),
+            (3, [[0, 1], np.array([0.0, 2.9])], None, "node ids must be integers"),
+            (3, [[0, np.nan]], None, "node ids must be integers"),
+            (2.7, [[0, 1]], None, "node count must be an integer"),
+            (3, [[0, 1]], [1.5, 2.5, 3.5], "node labels must be integers"),
+        ],
+        ids=["ids", "float-array-ids", "nan-id", "count", "labels"],
+    )
+    def test_rejects_fractional_count_ids_and_labels(self, n, edges, labels, message):
+        with pytest.raises(ValueError, match=message):
+            Hypergraph(n, edges, node_labels=labels)
+
+    def test_integral_floats_are_accepted(self):
+        g = Hypergraph(3.0, [np.array([2.0, 0.0]), [1.0, 2.0]], None, [1.0, 2.0, 3.0])
+        assert g == Hypergraph(3, [[0, 2], [1, 2]], None, [1, 2, 3])
+        assert isinstance(g.n, int) and g.node_labels.dtype == np.int64
+
     def test_with_weights(self):
         g = Hypergraph(3, [[0, 1], [1, 2]])
         g2 = g.with_weights([2.0, 3.0])
@@ -127,10 +155,9 @@ class TestConstructor:
     def test_with_weights_shares_structure_and_validates_weights(self):
         g = Hypergraph(4, [[3, 0, 1], [1, 2]], node_labels=[5, 6, 7, 8])
         g2 = g.with_weights([2.0, 3.0])
-        assert g2.pins is g.pins
+        assert g2.rows is g.rows
         assert g2.edge_degrees is g.edge_degrees
         assert g2.node_labels is g.node_labels
-        assert g2.incidence() is g.incidence()
         assert g2 == Hypergraph(4, g.edges, [2.0, 3.0], [5, 6, 7, 8])
         for bad in ([1.0], [1.0, 0.0], [1.0, np.inf], [[1.0, 2.0]]):
             with pytest.raises(ValueError):
@@ -371,6 +398,42 @@ class TestDegrees:
             expected = float(np.sum(g.weights * g.edge_degrees))
             assert view.total_degree == pytest.approx(expected, rel=1e-12)
             assert view.node_degrees.sum() == pytest.approx(expected, rel=1e-12)
+
+
+class TestStoredRows:
+    """Everything read from ``rows`` has the bits of the incidence that was
+    built from ``pins``: data, indices, indptr and their dtypes."""
+
+    @staticmethod
+    def same_csr(got, want):
+        assert got.format == want.format == "csr" and got.shape == want.shape
+        for a, b in ((got.data, want.data), (got.indices, want.indices),
+                     (got.indptr, want.indptr)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def check(self, g, rng):
+        rows = g.rows
+        assert rows.format == "csr" and rows.shape == (g.m, g.n)
+        assert rows.data.dtype == np.float64 and np.all(rows.data == 1.0)
+        H = incidence_from_pins(g)
+        self.same_csr(g.incidence(), H)
+        assert np.array_equal(bits(degrees(g).node_degrees), bits(H @ g.weights))
+        p = Partition.from_labels(rng.integers(0, 5, size=g.n))
+        want = (H.T @ membership(p.assignment, p.c)).tocsr().astype(np.int64)
+        want.sort_indices()
+        self.same_csr(pin_counts(g, p), want)
+
+    def test_mixed_corpus(self, mixed_corpus):
+        rng = np.random.default_rng(5)
+        for g in mixed_corpus:
+            self.check(g, rng)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_components_corpus_before_and_after_preprocess(self, seed):
+        rng = np.random.default_rng(seed)
+        for g in components_corpus(seed):
+            self.check(g, rng)
+            self.check(preprocess(g), rng)
 
 
 class TestLabelsIO:
