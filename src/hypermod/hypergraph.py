@@ -161,8 +161,11 @@ def int64_array(values, message):
     given = np.asarray(values)
     if given.dtype == np.int64:
         return given
-    with np.errstate(invalid="ignore"):  # nan and inf fail the check below
-        ints = given.astype(np.int64)
+    try:
+        with np.errstate(invalid="ignore"):  # nan and inf fail the check below
+            ints = given.astype(np.int64)
+    except OverflowError:  # a Python int beyond int64
+        raise ValueError(message) from None
     if not np.array_equal(ints, given):
         raise ValueError(message)
     return ints

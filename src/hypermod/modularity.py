@@ -17,14 +17,14 @@ its rows once, when it is built. A CSR row of at most ``SHORT_ROW``
 (128) stored entries besides the self-loop is summed entry by entry into
 a dict {cluster: weight}, so its visit costs time in its length, not in
 n. Any other row is binned by one bincount (a dense row against the whole
-assignment, with no index gather), which is read into a dict at the
-non-empty clusters while at most ``SHORT_ROW`` remain and otherwise
-scored as one array with a masked ``argmax``. Both forms add each
-cluster's weights in row order starting from 0.0 (a dense row adds exact
-zeros between them), leave out the clusters whose weights sum to zero,
-evaluate the same gain expression with the same operations and break
-ties toward the lowest cluster id, so they choose the same moves bit for
-bit.
+assignment, with no index gather), whose nonzero sums are the clusters
+the row touches: at most ``SHORT_ROW`` of them are read into a dict, and
+more are scored as one array taken at their ids, so a visit scores only
+the clusters its row touches. Both forms add each cluster's weights in
+row order starting from 0.0 (a dense row adds exact zeros between them),
+leave out the clusters whose weights sum to zero, evaluate the same gain
+expression with the same operations and break ties toward the lowest
+cluster id, so they choose the same moves bit for bit.
 
 A sweep skips the visits that cannot move a node (the revisit rule). A
 visit that moves nothing records how far the node's gains would have to
@@ -159,9 +159,14 @@ def modularity(graph, partition: Partition) -> float:
 
     The normalizer 2m is the total adjacency weight re-accumulated from the
     cluster volumes, which keeps the single-cluster value at exactly 0.
+    Raises ``ValueError`` when the graph's 2m is not finite.
     """
     if len(partition) != graph.n:
         raise ValueError("partition does not cover the graph's nodes")
+    if not np.isfinite(graph.total_weight_2m):
+        raise ValueError(
+            f"total edge weight 2m = {graph.total_weight_2m!r} is not finite"
+        )
     clusters = aggregate(graph, partition)
     sigma_tot = clusters.node_degrees
     two_m = np.add.reduce(sigma_tot)
@@ -175,7 +180,7 @@ class ModularityContext:
     """Mutable cluster statistics supporting incremental move evaluation.
 
     Tracks, for one ReducedGraph and a current assignment, each cluster's
-    total degree and size, and the number of non-empty clusters.
+    total degree and size, and the empty cluster ids.
     :meth:`local_moving` mutates it through :meth:`move`; reads are safe
     between mutations.
     """
@@ -208,11 +213,6 @@ class ModularityContext:
             self.sigma_tot = aggregate(graph, partition).node_degrees
             self.sizes = partition.cluster_sizes.copy()
         self._empty_ids: list[int] = []
-        # Non-empty clusters: their count, kept by ``move``, and their ids,
-        # read off ``sizes`` by the first dense visit after a cluster empties
-        # or refills.
-        self.clusters = int(np.count_nonzero(self.sizes))
-        self._cluster_ids = None
 
     def row(self, node):
         """Column ids and weights of ``node``'s row, self-loop excluded.
@@ -230,10 +230,9 @@ class ModularityContext:
         A CSR row of at most ``SHORT_ROW`` stored entries gives a dict
         {cluster id: weight}, summed entry by entry (``ReducedGraph``
         stores no zero, so no weight is 0). Any other row is binned by one
-        bincount: while at most ``SHORT_ROW`` clusters are non-empty, its
-        nonzero sums at their ids, in id order, give the dict; otherwise
-        the per-cluster sums array is returned, long enough to hold the
-        node's own cluster.
+        bincount, long enough to hold the node's own cluster, and ``ids``
+        are the ascending ids of its nonzero sums: at most ``SHORT_ROW`` of
+        them give the dict, in id order; more give ``(sums, ids)``.
         """
         cols, weights = self.row(node)
         if cols is not None and cols.size <= SHORT_ROW:
@@ -243,16 +242,13 @@ class ModularityContext:
                 acc[c] = get(c, 0.0) + w
             return acc
         labels = self.assignment if cols is None else self.assignment.take(cols)
-        ids = None
-        if self.clusters <= SHORT_ROW:
-            if self._cluster_ids is None:
-                self._cluster_ids = np.flatnonzero(self.sizes)
-            ids = self._cluster_ids
-        span = self.assignment.item(node) + 1 if ids is None else ids.item(-1) + 1
-        sums = np.bincount(labels, weights=weights, minlength=span)
-        if ids is None:
-            return sums
-        return {c: w for c, w in zip(ids.tolist(), sums.take(ids).tolist()) if w}
+        own = self.assignment.item(node)
+        sums = np.bincount(labels, weights=weights, minlength=own + 1)
+        # Several times cheaper than np.flatnonzero on a row this short.
+        ids = (sums != 0.0).nonzero()[0]
+        if ids.size <= SHORT_ROW:
+            return dict(zip(ids.tolist(), sums.take(ids).tolist()))
+        return sums, ids
 
     def move(self, node, to) -> None:
         """Move ``node`` to cluster ``to``; update cluster totals and sizes."""
@@ -262,15 +258,10 @@ class ModularityContext:
         self.sigma_tot[to] += k
         self.assignment[node] = to
         sizes = self.sizes
-        if sizes[to] == 0:
-            self.clusters += 1
-            self._cluster_ids = None
         sizes[frm] -= 1
         sizes[to] += 1
         if sizes[frm] == 0:
             heapq.heappush(self._empty_ids, int(frm))
-            self.clusters -= 1
-            self._cluster_ids = None
 
     def first_empty_cluster(self) -> int:
         """Lowest currently empty cluster id, or -1 when none exists."""
@@ -287,8 +278,8 @@ class ModularityContext:
         the node is not alone, the lowest empty cluster (letting a badly
         placed node step out of an overgrown cluster). The best gain wins
         if it exceeds ``MIN_GAIN``; equal gains go to the lowest cluster id
-        (an array row's ``argmax`` takes the first maximum, and its spare
-        cluster is scored by the scalar loop).
+        (an array row's ids ascend and its ``argmax`` takes the first
+        maximum, and its spare cluster is scored by the scalar loop).
 
         A node is revisited only when the moves since its last visit could
         have lifted one of its gains above ``MIN_GAIN`` (weights and degrees
@@ -350,20 +341,19 @@ class ModularityContext:
                     scalar = neighbors
                     top = -np.inf
                 else:
-                    sums = neighbors
+                    sums, ids = neighbors
                     s_a = sums.item(a)
+                    # The node's own cluster scores -2k²/(2m)² ≤ 0, below
+                    # MIN_GAIN, so it may stay among the ids.
                     gains = (
-                        2.0 * (sums - s_a) / two_m
-                        - k2 * (sigma_tot[: sums.size] - tot_a_without) / two_m_sq
+                        2.0 * (sums.take(ids) - s_a) / two_m
+                        - k2 * (sigma_tot.take(ids) - tot_a_without) / two_m_sq
                     )
-                    # Only adjacent clusters compete. The node's own cluster
-                    # scores -2k²/(2m)² ≤ 0, below MIN_GAIN, so it needs no mask.
-                    gains[sums == 0.0] = -np.inf
                     i = int(gains.argmax())
                     top = gains.item(i)
-                    adjacent = top > -np.inf
+                    adjacent = True
                     if top > MIN_GAIN:
-                        best, best_gain = i, top
+                        best, best_gain = ids.item(i), top
                     scalar = {}
                 if adjacent and spare >= 0 and sizes.item(a) > 1:
                     scalar[spare] = 0.0

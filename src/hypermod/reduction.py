@@ -273,9 +273,11 @@ def degree_preserving_reduce(g: Hypergraph) -> ReducedGraph:
     Row sums of the result equal the weighted hypergraph node degrees
     (checked to 1e-9 relative, at any weight scale). Requires every
     hyperedge to have at least two nodes, i.e. a preprocessed hypergraph,
-    and every weight / (degree - 1) to be a normal float64, at least
-    ``np.finfo(float).tiny``; raises ``ValueError`` otherwise. The build
-    and its two layouts are those of the module docstring.
+    every weight / (degree - 1) to be a normal float64, at least
+    ``np.finfo(float).tiny``, and the weighted node degrees and their total
+    to be finite, at most ``np.finfo(float).max``; raises ``ValueError``
+    otherwise. The build and its two layouts are those of the module
+    docstring.
     """
     delta = g.edge_degrees
     if int(delta.min()) < 2:
@@ -291,8 +293,17 @@ def degree_preserving_reduce(g: Hypergraph) -> ReducedGraph:
             f"hyperedge weight / (degree - 1) = {smallest!r} lies below the"
             f" smallest normal float64, {tiny!r}; rescale the weights"
         )
+    # An infinite degree would pass the degree check (inf equals inf).
+    with np.errstate(over="ignore"):
+        weighted = degrees(g)
+    total, largest = weighted.total_degree, float(np.finfo(np.float64).max)
+    if not total <= largest:
+        raise ValueError(
+            f"weighted node degrees total {total!r}, beyond the largest"
+            f" float64, {largest!r}; rescale the weights"
+        )
     reduced = _expand(g, scale)
-    expected = degrees(g).node_degrees
+    expected = weighted.node_degrees
     if not np.allclose(reduced.node_degrees, expected, rtol=1e-9, atol=0.0):
         raise RuntimeError(
             "row sums of the degree-preserving reduction drifted from the"

@@ -167,10 +167,11 @@ def _weight_to_reference(cand, weights, cluster):
 
 def weight_to(neighbors, cluster):
     """Weight into ``cluster`` from either form of a
-    ``neighbor_cluster_weights`` result (dict or per-cluster sums array)."""
+    ``neighbor_cluster_weights`` result (dict or per-cluster sums and ids)."""
     if isinstance(neighbors, dict):
         return neighbors.get(cluster, 0.0)
-    return float(neighbors[cluster]) if cluster < neighbors.size else 0.0
+    sums, _ = neighbors
+    return float(sums[cluster]) if cluster < sums.size else 0.0
 
 
 def gain_of_move(ctx, node, frm, to):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +93,21 @@ class TestCluster:
         err = capsys.readouterr().err
         assert err.startswith("error: hyperedge weight / (degree - 1) = ")
         assert "smallest normal float64" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("method", ["hlouvain", "irmm"])
+    def test_overflowing_degrees_fail_with_an_error_line(self, tmp_path, capsys, method):
+        # Node 2's degree, 2e308, overflows to inf.
+        hgr = tmp_path / "huge.hgr"
+        hgr.write_text("2 3 1\n1e308 1 2\n1e308 2 3\n")
+        code = run(
+            "cluster", "--input", hgr, "--method", method,
+            "--partition-out", tmp_path / "p.tsv",
+            "--metrics-out", tmp_path / "m.json",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: weighted node degrees total inf, beyond")
         assert "Traceback" not in err
 
     def test_unallocatable_node_count_fails_with_an_error_line(self, tmp_path, capsys):
@@ -240,6 +259,23 @@ def test_no_command_builds_the_node_major_incidence(tmp_path, monkeypatch, cfg, 
         ) == 0
         assert run("stats", "--input", hgr, "--partition", part) == 0
         assert run("eval", "--pred", part, "--truth", labels) == 0
+
+
+def test_cli_import_loads_no_heavy_scipy_module():
+    # Each of these costs a large share of a fresh CLI start; importing
+    # scipy.sparse.csgraph alone makes `import hypermod.cli` about 25 % slower.
+    heavy = ["scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph"]
+    code = f"import sys, hypermod.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestEval:

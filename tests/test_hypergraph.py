@@ -127,6 +127,24 @@ class TestConstructor:
             Hypergraph(2**64, [[0, 1]])
 
     @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Hypergraph(3, [[2**64, 0]]), "node ids must be integers"),
+            (lambda: Hypergraph(3, [[-(2**63) - 1, 0]]), "node ids must be integers"),
+            (
+                lambda: Hypergraph(3, [[0, 1]], node_labels=[2**64, 1, 2]),
+                "node labels must be integers",
+            ),
+            (lambda: Partition([2**64]), "cluster ids must be integers"),
+            (lambda: Partition([-(2**63) - 1]), "cluster ids must be integers"),
+        ],
+        ids=["id-above", "id-below", "label", "cluster-above", "cluster-below"],
+    )
+    def test_integers_beyond_int64_raise_value_error(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize(
         "n, edges, labels, message",
         [
             (3, [[0.5, 1.7]], None, "node ids must be integers"),

@@ -335,7 +335,6 @@ def run_both(graph, init=None, order=None, pre_moves=()):
     assert got == want
     for attr in ("assignment", "sigma_tot", "sizes"):
         assert same_bits(getattr(ours, attr), getattr(ref, attr)), attr
-    assert ours.clusters == np.count_nonzero(ours.sizes)
     assert len(visited) <= visits
     return ours, into_empty, visits - len(visited)
 
@@ -478,8 +477,8 @@ class TestLocalMovingMatchesReference:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_long_csr_rows_in_both_forms(self, seed, monkeypatch):
         # Every row is longer than SHORT_ROW. From singletons the visits
-        # first get per-cluster sums arrays, then dicts once at most
-        # SHORT_ROW clusters are non-empty.
+        # first get per-cluster sums with their ids, then dicts once the
+        # rows touch at most SHORT_ROW clusters.
         graph = generated(seed, n=300, size_buckets=((1.0, 10, 60),))
         assert graph.dense is None
         assert row_lengths(graph).min() > SHORT_ROW
@@ -495,7 +494,7 @@ class TestLocalMovingMatchesReference:
             ModularityContext, "neighbor_cluster_weights", recording_visit
         )
         run_both(graph)
-        assert forms == {dict, np.ndarray}
+        assert forms == {dict, tuple}
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_rows_straddling_the_cutoff(self, seed):

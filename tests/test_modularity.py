@@ -125,6 +125,13 @@ class TestModularityValue:
             oracle = modularity_double_sum_fast(rg.to_dense(), p.assignment)
             assert modularity(rg, p) == pytest.approx(oracle, abs=1e-10)
 
+    @pytest.mark.parametrize("weight", [np.inf, 1e308], ids=["inf", "overflow"])
+    def test_infinite_total_weight_is_rejected(self, weight):
+        with np.errstate(over="ignore"):  # 2 * 1e308 overflows the total
+            graph = ReducedGraph(np.array([[0.0, weight], [weight, 0.0]]))
+        with pytest.raises(ValueError, match="is not finite"):
+            modularity(graph, Partition([0, 1]))
+
     def test_relabel_invariance(self):
         rng = np.random.default_rng(23)
         g = random_hypergraph(rng, n_max=30)
@@ -181,86 +188,116 @@ class TestNeighborClusterWeights:
         for cluster, weight in ((0, 0.0), (1, 0.0), (2, (others + 1) // 2)):
             assert weight_to(neighbors, cluster) == weight
 
-    @pytest.mark.parametrize("clusters", [SHORT_ROW, SHORT_ROW + 1])
-    def test_long_csr_row_forms(self, clusters):
+    @staticmethod
+    def assert_row_form(neighbors, sums):
+        """``neighbors`` is the dict of the nonzero entries of ``sums`` while
+        at most SHORT_ROW, else ``(sums, ids)`` with ids those entries."""
+        ids = np.flatnonzero(sums).tolist()
+        if len(ids) <= SHORT_ROW:
+            assert neighbors == {c: sums[c] for c in ids}
+            assert list(neighbors) == ids
+        else:
+            got, got_ids = neighbors
+            assert bits(got).tolist() == bits(sums).tolist()
+            assert got_ids.tolist() == ids
+
+    @pytest.mark.parametrize("touched", [SHORT_ROW, SHORT_ROW + 1])
+    def test_long_csr_row_forms(self, touched):
         # Node 0 has a unit edge to each of 2 * SHORT_ROW nodes whose labels
-        # cover ids 1..clusters-1. Its bincount is read as a dict while at
-        # most SHORT_ROW clusters are non-empty, else returned whole.
+        # cover ids 1..touched, so touched + 1 > SHORT_ROW clusters are
+        # non-empty. Its bincount is read as a dict while it touches at most
+        # SHORT_ROW clusters, else returned with their ids.
         n = 1 + 2 * SHORT_ROW
         adjacency = sparse.lil_matrix((n, n))
         adjacency[0, 1:] = 1.0
         adjacency[1:, 0] = 1.0
         graph = ReducedGraph(adjacency)
         assert graph.dense is None
-        labels = np.concatenate([[0], 1 + np.arange(n - 1) % (clusters - 1)])
+        labels = np.concatenate([[0], 1 + np.arange(n - 1) % touched])
         ctx = ModularityContext(graph, Partition(labels))
-        neighbors = ctx.neighbor_cluster_weights(0)
-        sums = np.bincount(labels[1:], minlength=clusters).astype(float)
-        if clusters <= SHORT_ROW:
-            assert neighbors == {c: sums[c] for c in range(1, clusters)}
-            assert list(neighbors) == list(range(1, clusters))
-        else:
-            assert bits(neighbors).tolist() == bits(sums).tolist()
+        sums = np.bincount(labels[1:], minlength=touched + 1).astype(float)
+        self.assert_row_form(ctx.neighbor_cluster_weights(0), sums)
 
     @staticmethod
-    def dense_graph_and_labels(clusters):
+    def dense_graph_and_labels(touched):
         """A dense layout over SHORT_ROW + 20 nodes with random weights and
-        labels whose ids 0..clusters-1 all occur; node 0 has no edge into
-        cluster 1, so one bincount entry sums to zero."""
-        rng = np.random.default_rng(clusters)
+        labels whose ids 0..touched+1 all occur. Node 0 is alone in cluster
+        0, has no edge into cluster 1 and an edge to every other node, so
+        its row touches ``touched`` clusters and two bincount entries are
+        zero."""
+        rng = np.random.default_rng(touched)
         n = SHORT_ROW + 20
         adjacency = np.triu(rng.uniform(0.5, 2.0, size=(n, n)), 1)
         adjacency[rng.random((n, n)) < 0.5] = 0.0
+        adjacency[0, 1:] = rng.uniform(0.5, 2.0, size=n - 1)
         adjacency += adjacency.T
         labels = np.concatenate(
-            [np.arange(clusters), rng.integers(0, clusters, size=n - clusters)]
+            [np.arange(touched + 2), rng.integers(1, touched + 2, size=n - touched - 2)]
         )
         adjacency[0, labels == 1] = adjacency[labels == 1, 0] = 0.0
         return ReducedGraph(adjacency), labels
 
-    @pytest.mark.parametrize("clusters", [4, SHORT_ROW, SHORT_ROW + 1])
-    def test_dense_row_forms(self, clusters):
-        # While at most SHORT_ROW clusters are non-empty, a dense row gives
-        # the nonzero entries of its bincount as a dict, else the array.
-        graph, labels = self.dense_graph_and_labels(clusters)
+    @pytest.mark.parametrize("touched", [4, SHORT_ROW, SHORT_ROW + 1])
+    def test_dense_row_forms(self, touched):
+        # A dense row gives the nonzero entries of its bincount as a dict
+        # while it touches at most SHORT_ROW clusters, else the array.
+        graph, labels = self.dense_graph_and_labels(touched)
         assert graph.dense is not None
         ctx = ModularityContext(graph, Partition(labels))
         sums = np.bincount(labels, weights=graph.dense[0])
-        assert sums[1] == 0.0
-        neighbors = ctx.neighbor_cluster_weights(0)
-        if clusters <= SHORT_ROW:
-            nonzero = np.flatnonzero(sums).tolist()
-            assert neighbors == {c: sums[c] for c in nonzero}
-            assert list(neighbors) == nonzero
-        else:
-            assert bits(neighbors).tolist() == bits(sums).tolist()
+        assert sums[0] == sums[1] == 0.0
+        assert np.count_nonzero(sums) == touched
+        self.assert_row_form(ctx.neighbor_cluster_weights(0), sums)
 
     def test_dense_row_form_follows_moves(self):
-        # Emptying a cluster and refilling it switches the form both ways.
-        # The last step returns to SHORT_ROW non-empty clusters, but not to
-        # the same ones as the first.
+        # Moves that change the clusters node 0's row touches switch the
+        # form both ways, while more than SHORT_ROW clusters stay non-empty.
         graph, labels = self.dense_graph_and_labels(SHORT_ROW + 1)
         ctx = ModularityContext(graph, Partition(labels))
-        assert ctx.clusters == SHORT_ROW + 1
         row = graph.dense[0]
         sizes = np.bincount(labels)
         first, second = [
-            v for v in range(1, graph.n) if sizes[labels[v]] == 1 and row[v]
+            v for v in range(2, graph.n) if sizes[labels[v]] == 1 and row[v]
         ][:2]
         steps = [
-            (first, labels[0], SHORT_ROW),
+            (first, labels[second], SHORT_ROW),
             (first, labels[first], SHORT_ROW + 1),
-            (second, labels[0], SHORT_ROW),
+            (first, 1, SHORT_ROW + 1),
+            (second, 1, SHORT_ROW),
         ]
-        for node, to, count in steps:
+        for node, to, touched in steps:
             ctx.move(node, int(to))
-            assert ctx.clusters == count
-            neighbors = ctx.neighbor_cluster_weights(0)
+            assert np.count_nonzero(ctx.sizes) > SHORT_ROW
             sums = np.bincount(ctx.assignment, weights=row)
-            if count <= SHORT_ROW:
-                assert neighbors == {c: sums[c] for c in np.flatnonzero(sums)}
-            else:
-                assert bits(neighbors).tolist() == bits(sums).tolist()
+            assert np.count_nonzero(sums) == touched
+            self.assert_row_form(ctx.neighbor_cluster_weights(0), sums)
+
+    @pytest.mark.parametrize("layout", ["csr", "dense"])
+    def test_form_follows_touched_not_nonempty_clusters(self, layout):
+        # Node 0 has two neighbours in each of clusters 1..SHORT_ROW + 1,
+        # and ten singleton clusters lie off its row. Merging two touched
+        # clusters leaves SHORT_ROW touched and SHORT_ROW + 11 non-empty.
+        touched = SHORT_ROW + 1
+        n = 1 + 2 * touched + 10
+        adjacency = np.zeros((n, n))
+        adjacency[0, 1 : 1 + 2 * touched] = np.linspace(0.5, 2.0, 2 * touched)
+        adjacency[:, 0] = adjacency[0]
+        graph = ReducedGraph(
+            adjacency if layout == "dense" else sparse.csr_matrix(adjacency)
+        )
+        labels = np.concatenate(
+            [[0], 1 + np.arange(2 * touched) // 2, touched + 1 + np.arange(10)]
+        )
+        ctx = ModularityContext(graph, Partition(labels))
+        sums, ids = ctx.neighbor_cluster_weights(0)
+        assert ids.tolist() == np.flatnonzero(sums).tolist()
+        assert ids.tolist() == list(range(1, touched + 1))
+        for node in (2 * touched - 1, 2 * touched):
+            ctx.move(node, 1)
+        assert np.count_nonzero(ctx.sizes) == SHORT_ROW + 11
+        neighbors = ctx.neighbor_cluster_weights(0)
+        want = np.bincount(ctx.assignment, weights=adjacency[0])
+        assert neighbors == {c: want[c] for c in np.flatnonzero(want).tolist()}
 
 
 class TestContextRows:

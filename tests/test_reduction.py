@@ -428,6 +428,16 @@ class TestTriangleBuild:
         with pytest.raises(ValueError, match="smallest normal float64"):
             random_walk_matrix(g)
 
+    @pytest.mark.parametrize(
+        "edges", [[[0, 1]], [[0, 1], [1, 2]]], ids=["total", "degree"]
+    )
+    def test_infinite_degrees_are_rejected(self, edges):
+        # At weight 1e308 the degrees total inf, or a degree is inf itself:
+        # the degree check would pass (inf equals inf), and Q read 0 or nan.
+        g = Hypergraph(len(edges) + 1, edges, weights=[1e308] * len(edges))
+        with pytest.raises(ValueError, match="beyond the largest float64"):
+            degree_preserving_reduce(g)
+
 
 class TestRandomWalk:
     def test_forced_transition(self):
