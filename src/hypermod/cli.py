@@ -5,7 +5,7 @@ hMETIS-style file), ``eval`` (symmetric F1 between two clusterings),
 ``generate`` (synthetic benchmark hypergraphs), ``stats`` (hyperedge-cut
 histogram of a partition) and ``bench`` (CPU-time scaling of hlouvain on
 synthetic inputs). All randomness flows from ``--seed``; runs with
-identical flags write byte-identical artifacts.
+identical flags and BLAS thread count write byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -235,12 +235,12 @@ def build_parser():
     p = sub.add_parser("cluster", help="cluster a hypergraph file")
     p.add_argument("--input", required=True, help="hMETIS-style hypergraph file")
     p.add_argument("--method", choices=METHODS, default="irmm")
-    p.add_argument("--alpha", type=float, default=0.5,
+    p.add_argument("--alpha", type=float, default=IrmmConfig.alpha,
                    help="moving-average coefficient for irmm")
-    p.add_argument("--threshold", type=float, default=0.01,
+    p.add_argument("--threshold", type=float, default=IrmmConfig.threshold,
                    help="stopping threshold on the weight change")
-    p.add_argument("--max-iters", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-iters", type=int, default=IrmmConfig.max_iters)
+    p.add_argument("--seed", type=int, default=LouvainConfig.seed)
     p.add_argument("--shuffle", action="store_true",
                    help="visit nodes in seeded random order")
     p.add_argument("--k", type=int, default=None,
@@ -261,10 +261,11 @@ def build_parser():
 
     p = sub.add_parser("generate", help="write a synthetic hypergraph")
     p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--homophily-deviation", type=float, default=0.4)
-    p.add_argument("--edge-factor", type=float, default=1.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--classes", type=int, default=GenConfig.classes)
+    p.add_argument("--homophily-deviation", type=float,
+                   default=GenConfig.homophily_deviation)
+    p.add_argument("--edge-factor", type=float, default=GenConfig.edge_factor)
+    p.add_argument("--seed", type=int, default=GenConfig.seed)
     p.add_argument("--output", default=None)
     p.add_argument("--labels-out", default=None)
     p.set_defaults(func=cmd_generate)

@@ -272,8 +272,9 @@ def loads(text: str) -> Hypergraph:
 
 
 def load(path) -> Hypergraph:
-    """Read a hypergraph file. See the module docstring for the format."""
-    return loads(Path(path).read_text(encoding="utf-8"))
+    """Read a UTF-8 hypergraph file (a byte-order mark is skipped), in the
+    format of the module docstring."""
+    return loads(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def write_hmetis(g: Hypergraph, path) -> None:
@@ -293,14 +294,14 @@ def write_hmetis(g: Hypergraph, path) -> None:
 def read_label_rows(path, widths=(1,)) -> np.ndarray:
     """Read a file of integer rows, such as labels or ``node cluster`` pairs.
 
-    Blank lines and lines starting with ``%`` are skipped. Every row must
-    have the same number of columns, one of ``widths``, and every entry
-    must be an integer that fits int64. Returns an int64 array with one
-    row per line.
+    A UTF-8 byte-order mark, blank lines and lines starting with ``%`` are
+    skipped. Every row must have the same number of columns, one of
+    ``widths``, and every entry must be an integer that fits int64. Returns
+    an int64 array with one row per line.
     """
     rows = []
     width = None
-    for lineno, tokens in _tokenize(Path(path).read_text(encoding="utf-8")):
+    for lineno, tokens in _tokenize(Path(path).read_text(encoding="utf-8-sig")):
         if len(tokens) != width:
             if width is None and len(tokens) in widths:
                 width = len(tokens)

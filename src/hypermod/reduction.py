@@ -16,9 +16,9 @@ Hyperedges are split by size, per call, from two predicted costs:
 - the rows of the small hyperedges go through a sparse product, which
   costs the sum of their squared sizes (Σδ²), plus the handling of each
   output entry;
-- the largest ones (never of 64 nodes or fewer), when their Σδ² is
-  predicted to cost more, go through one dense BLAS product, which costs
-  n² multiply-adds per hyperedge, built a block of rows at a time.
+- those with δ > 64 and δ² > 0.005·n², when their Σδ² is predicted to
+  cost more, go through one dense BLAS product, which costs n²
+  multiply-adds per hyperedge, built a block of rows at a time.
 
 With no large hyperedge the sparse product is the whole result, as CSR
 with sorted indices. Otherwise only the upper triangle is computed: row
@@ -32,7 +32,8 @@ the strict upper triangle U as CSR, with no n x n temporary, and the
 result is U + Uᵀ; forming that sum holds U, Uᵀ and the result at once,
 about twice the result's own bytes (README "Memory"). Both layouts hold
 the same bits, and both are exactly symmetric. The output is combinatorial in hyperedge
-size, so a dense copy is refused above ``DENSE_NODE_LIMIT`` nodes.
+size, so a dense copy is refused above ``DENSE_NODE_LIMIT`` nodes. Before
+either build, both reductions check that the row sums fit a float64.
 """
 
 from __future__ import annotations
@@ -165,35 +166,28 @@ _SCAN_COST = 0.5
 def _dense_edges(delta: np.ndarray, n: int):
     """Mask of the hyperedges to sum by one BLAS product, or None.
 
-    Moving the k largest hyperedges to the dense product saves their sparse
-    cost, the sum of their squared sizes, and costs n*n*k BLAS
-    multiply-adds plus one scan of all n*n dense cells. The k with the
-    largest predicted saving wins. These are the costs of both triangles;
-    building one about halves the sparse and the BLAS side alike. A cut
-    never splits a size class, keeps every hyperedge of at most
-    ``_SPARSE_MAX_SIZE`` nodes sparse and moves at most n hyperedges, so
-    the dense factor is never larger than an n x n output.
+    A hyperedge of size d moved there saves d*d sparse multiply-adds for
+    n*n BLAS ones, and all k moved share one scan of the n*n dense cells.
+    So those with d*d > ``_GEMM_COST``*n*n move, never those of at most
+    ``_SPARSE_MAX_SIZE`` nodes, and of more than n such hyperedges only
+    those above the (n+1)-th largest size, so no size class is split; and
+    they move only if their Σd² exceeds n*n*(``_GEMM_COST``*k + ``_SCAN_COST``).
+    These are the costs of both triangles; building one about halves the
+    sparse and the BLAS side alike.
     """
-    if delta.size == 0 or delta.max() <= _SPARSE_MAX_SIZE:
+    large = delta > max(_SPARSE_MAX_SIZE, np.sqrt(_GEMM_COST) * n)
+    if np.count_nonzero(large) > n:
+        large &= delta > np.partition(delta, delta.size - n - 1)[delta.size - n - 1]
+    squares = delta[large].astype(np.float64) ** 2
+    if squares.sum() <= float(n) * n * (_GEMM_COST * squares.size + _SCAN_COST):
         return None
-    order = np.sort(delta)[::-1]
-    cut = order > _SPARSE_MAX_SIZE
-    cut[:-1] &= order[:-1] > order[1:]
-    cut[n:] = False
-    k = np.arange(1, order.size + 1)
-    saving = np.cumsum(order.astype(np.float64) ** 2) - float(n) * n * (
-        _GEMM_COST * k + _SCAN_COST
-    )
-    candidates = np.flatnonzero(cut & (saving > 0))
-    if candidates.size == 0:
-        return None
-    best = candidates[np.argmax(saving[candidates])]
-    return delta >= order[best]
+    return large
 
 
 def _expand(g: Hypergraph, edge_scale: np.ndarray) -> ReducedGraph:
     """H diag(edge_scale) H^T with the diagonal removed, split as the
-    module docstring describes.
+    module docstring describes; first ``ValueError`` if its row sums,
+    Σ_e s_e·(δ_e - 1)·δ_e in all, would total more than the largest float64.
 
     The rows of the small hyperedges (all of them when none is large) are
     the sparse product's right factor, and their transpose, a new CSR
@@ -203,8 +197,17 @@ def _expand(g: Hypergraph, edge_scale: np.ndarray) -> ReducedGraph:
     threads left idle between two calls spin, so a single-threaded step
     run between them costs twice its time in CPU.
     """
-    n = g.n
-    large = _dense_edges(g.edge_degrees, n)
+    n, delta = g.n, g.edge_degrees
+    # No BLAS dot: its threads, woken on a path with no GEMM, would spin.
+    with np.errstate(over="ignore"):
+        total = float((edge_scale * (delta - 1.0) * delta).sum())
+    largest = float(np.finfo(np.float64).max)
+    if not total <= largest:
+        raise ValueError(
+            f"weighted node degrees total {total!r}, beyond the largest"
+            f" float64, {largest!r}; rescale the weights"
+        )
+    large = _dense_edges(delta, n)
     right = g.rows if large is None else g.rows[~large]
     left = right.T.tocsr()
     left.data *= (edge_scale if large is None else edge_scale[~large])[left.indices]
@@ -263,7 +266,8 @@ def _expand(g: Hypergraph, edge_scale: np.ndarray) -> ReducedGraph:
 
 
 def clique_reduce(g: Hypergraph) -> ReducedGraph:
-    """Clique expansion: every in-edge pair gets the hyperedge weight."""
+    """Clique expansion: every in-edge pair gets the hyperedge weight;
+    ``ValueError`` if the row sums would total more than the largest float64."""
     return _expand(g, g.weights)
 
 
@@ -274,10 +278,10 @@ def degree_preserving_reduce(g: Hypergraph) -> ReducedGraph:
     (checked to 1e-9 relative, at any weight scale). Requires every
     hyperedge to have at least two nodes, i.e. a preprocessed hypergraph,
     every weight / (degree - 1) to be a normal float64, at least
-    ``np.finfo(float).tiny``, and the weighted node degrees and their total
-    to be finite, at most ``np.finfo(float).max``; raises ``ValueError``
-    otherwise. The build and its two layouts are those of the module
-    docstring.
+    ``np.finfo(float).tiny``, and the weighted node degrees to total at most
+    ``np.finfo(float).max``, which ``_expand`` checks for both reductions;
+    raises ``ValueError`` otherwise. The build and its two layouts are
+    those of the module docstring.
     """
     delta = g.edge_degrees
     if int(delta.min()) < 2:
@@ -293,17 +297,8 @@ def degree_preserving_reduce(g: Hypergraph) -> ReducedGraph:
             f"hyperedge weight / (degree - 1) = {smallest!r} lies below the"
             f" smallest normal float64, {tiny!r}; rescale the weights"
         )
-    # An infinite degree would pass the degree check (inf equals inf).
-    with np.errstate(over="ignore"):
-        weighted = degrees(g)
-    total, largest = weighted.total_degree, float(np.finfo(np.float64).max)
-    if not total <= largest:
-        raise ValueError(
-            f"weighted node degrees total {total!r}, beyond the largest"
-            f" float64, {largest!r}; rescale the weights"
-        )
     reduced = _expand(g, scale)
-    expected = weighted.node_degrees
+    expected = degrees(g).node_degrees
     if not np.allclose(reduced.node_degrees, expected, rtol=1e-9, atol=0.0):
         raise RuntimeError(
             "row sums of the degree-preserving reduction drifted from the"

@@ -591,6 +591,28 @@ def incidence_from_pins(g):
     return sparse.csr_matrix(rows, shape=(g.m, g.n)).T.tocsr()
 
 
+def dense_edges_search(delta, n, sparse_max, gemm_cost, scan_cost):
+    """Mask of the hyperedges the split reduction sums by BLAS, or None,
+    found by searching every cut between size classes for the largest
+    predicted saving (the rule that ``reduction._dense_edges`` states in
+    closed form)."""
+    if delta.size == 0 or delta.max() <= sparse_max:
+        return None
+    order = np.sort(delta)[::-1]
+    cut = order > sparse_max
+    cut[:-1] &= order[:-1] > order[1:]
+    cut[n:] = False
+    k = np.arange(1, order.size + 1)
+    saving = np.cumsum(order.astype(np.float64) ** 2) - float(n) * n * (
+        gemm_cost * k + scan_cost
+    )
+    candidates = np.flatnonzero(cut & (saving > 0))
+    if candidates.size == 0:
+        return None
+    best = candidates[np.argmax(saving[candidates])]
+    return delta >= order[best]
+
+
 def bits(x):
     """Float array (or scalar) as int64 bit patterns, for exact comparison."""
     return np.asarray(x, dtype=np.float64).view(np.int64)

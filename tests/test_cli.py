@@ -10,12 +10,14 @@ import pytest
 from hypermod import (
     GenConfig,
     Hypergraph,
+    IrmmConfig,
+    LouvainConfig,
     generate,
     preprocess,
     write_hmetis,
     write_labels,
 )
-from hypermod.cli import main
+from hypermod.cli import build_parser, main
 from hypermod.reduction import _dense_edges
 
 
@@ -95,9 +97,9 @@ class TestCluster:
         assert "smallest normal float64" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("method", ["hlouvain", "irmm"])
+    @pytest.mark.parametrize("method", ["hlouvain", "irmm", "clique-louvain"])
     def test_overflowing_degrees_fail_with_an_error_line(self, tmp_path, capsys, method):
-        # Node 2's degree, 2e308, overflows to inf.
+        # Node 2's degree, 2e308, overflows to inf, in either reduction.
         hgr = tmp_path / "huge.hgr"
         hgr.write_text("2 3 1\n1e308 1 2\n1e308 2 3\n")
         code = run(
@@ -109,6 +111,24 @@ class TestCluster:
         err = capsys.readouterr().err
         assert err.startswith("error: weighted node degrees total inf, beyond")
         assert "Traceback" not in err
+
+    def test_byte_order_mark_is_skipped(self, synth_files, tmp_path):
+        # A UTF-8 BOM on the input and on the truth labels changes nothing.
+        outputs = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            paths = []
+            for src in synth_files:
+                path = tmp_path / f"{len(mark)}{src.suffix}"
+                path.write_bytes(mark + src.read_bytes())
+                paths.append(path)
+            part, metrics = tmp_path / f"{len(mark)}.tsv", tmp_path / f"{len(mark)}.json"
+            code = run(
+                "cluster", "--input", paths[0], "--method", "hlouvain",
+                "--truth", paths[1], "--partition-out", part, "--metrics-out", metrics,
+            )
+            assert code == 0
+            outputs.append((part.read_bytes(), metrics.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_unallocatable_node_count_fails_with_an_error_line(self, tmp_path, capsys):
         # 10**18 labels take 8 EiB, more than any address space holds, so
@@ -395,6 +415,23 @@ class TestGenerate:
             "--metrics-out", tmp_path / "m.json",
         )
         assert code == 0
+
+
+class TestParser:
+    def test_defaults_come_from_the_configs(self):
+        parser = build_parser()
+        cluster = parser.parse_args(["cluster", "--input", "g.hgr"])
+        irmm_cfg, louvain_cfg = IrmmConfig(), LouvainConfig()
+        assert (cluster.alpha, cluster.threshold, cluster.max_iters) == (
+            irmm_cfg.alpha, irmm_cfg.threshold, irmm_cfg.max_iters
+        )
+        assert (cluster.seed, cluster.shuffle) == (louvain_cfg.seed, louvain_cfg.shuffle)
+        gen = parser.parse_args(["generate", "--nodes", "10"])
+        gen_cfg = GenConfig(n=10)
+        assert (gen.classes, gen.homophily_deviation, gen.edge_factor, gen.seed) == (
+            gen_cfg.classes, gen_cfg.homophily_deviation, gen_cfg.edge_factor,
+            gen_cfg.seed,
+        )
 
 
 class TestStats:

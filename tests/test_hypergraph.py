@@ -14,6 +14,7 @@ from hypermod import (
     write_labels,
 )
 from hypermod.evaluate import pin_counts
+from hypermod.hypergraph import read_label_rows
 from hypermod.modularity import membership
 
 from conftest import random_hypergraph
@@ -465,6 +466,17 @@ class TestLabelsIO:
         path.write_text("1 2\n")
         with pytest.raises(FormatError):
             load_labels(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        bom = b"\xef\xbb\xbf"
+        hgr, labels = tmp_path / "g.hgr", tmp_path / "g.labels"
+        hgr.write_bytes(bom + b"2 3 1\n2.5 1 2\n1 2 3\n")
+        labels.write_bytes(bom + b"3 1\n1 2\n")
+        g, want = load(hgr), loads("2 3 1\n2.5 1 2\n1 2 3\n")
+        assert (g.n, g.pins.tolist(), g.edge_degrees.tolist(), g.weights.tolist()) == (
+            want.n, want.pins.tolist(), want.edge_degrees.tolist(), want.weights.tolist()
+        )
+        assert read_label_rows(labels, widths=(2,)).tolist() == [[3, 1], [1, 2]]
 
     def test_rejects_label_beyond_int64(self, tmp_path):
         path = tmp_path / "labels.txt"

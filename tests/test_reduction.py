@@ -24,6 +24,7 @@ from conftest import random_dyadic_hypergraph, random_hypergraph
 from oracles import (
     bits,
     clique_degree_by_hand,
+    dense_edges_search,
     expansion_by_pairs,
     modularity_from_pin_counts,
 )
@@ -224,6 +225,61 @@ class TestPipeline:
             rows = np.repeat(np.arange(g.n), np.diff(A.indptr))
             assert not np.any(A.indices == rows), "stored diagonal entry"
             assert rg.node_degrees[[0, 4, 7]].tolist() == [0.0, 0.0, 0.0]
+
+
+class TestDenseEdges:
+    """The size threshold of ``_dense_edges`` against the search over every
+    cut between size classes that it replaced."""
+
+    @staticmethod
+    def random_sizes(rng, kind, n, m):
+        if kind == "uniform":
+            return rng.integers(2, n + 1, size=m)
+        if kind == "ties":
+            return rng.choice(rng.integers(2, n + 1, size=rng.integers(1, 5)), size=m)
+        if kind == "small":
+            return rng.integers(2, min(n, 130) + 1, size=m)
+        # Sizes around the threshold sqrt(_GEMM_COST) * n.
+        low = min(n - 1, max(2, int(np.sqrt(reduction._GEMM_COST) * n) - 5))
+        return rng.integers(low, min(n, low + 12) + 1, size=m)
+
+    def test_matches_the_search(self):
+        rng = np.random.default_rng(17)
+        seen = set()
+        for i in range(4000):
+            kind = ("uniform", "ties", "small", "threshold")[i % 4]
+            n = int(rng.integers(2, 3001))
+            m = int(rng.integers(0, 3 * n + 2))
+            delta = self.random_sizes(rng, kind, n, m)
+            got = _dense_edges(delta, n)
+            want = dense_edges_search(
+                delta,
+                n,
+                reduction._SPARSE_MAX_SIZE,
+                reduction._GEMM_COST,
+                reduction._SCAN_COST,
+            )
+            assert (got is None) == (want is None), (kind, n, m)
+            if got is None:
+                seen.add("none, all at most 64" if m and delta.max() <= 64 else "none")
+                continue
+            assert np.array_equal(got, want), (kind, n, m)
+            over = (delta > reduction._SPARSE_MAX_SIZE) & (
+                delta**2 > reduction._GEMM_COST * n * n
+            )
+            if n < 905 and np.any(over != (delta**2 > reduction._GEMM_COST * n * n)):
+                seen.add("64-node floor binds")
+            if np.count_nonzero(over) > n:
+                seen.add("at most n move")
+                if np.sort(delta)[-n] == np.sort(delta)[-n - 1]:
+                    seen.add("a tie at the n-th size")
+        assert seen == {
+            "none",
+            "none, all at most 64",
+            "64-node floor binds",
+            "at most n move",
+            "a tie at the n-th size",
+        }
 
 
 class TestDensePath:
@@ -437,6 +493,13 @@ class TestTriangleBuild:
         g = Hypergraph(len(edges) + 1, edges, weights=[1e308] * len(edges))
         with pytest.raises(ValueError, match="beyond the largest float64"):
             degree_preserving_reduce(g)
+
+    def test_clique_overflow_is_rejected_before_the_build(self):
+        # The clique row sums, 2e308 at node 1, overflow in no product:
+        # the error comes first, and no RuntimeWarning (an error here).
+        g = Hypergraph(3, [[0, 1], [1, 2]], weights=[1e308, 1e308])
+        with pytest.raises(ValueError, match="^weighted node degrees total inf"):
+            clique_reduce(g)
 
 
 class TestRandomWalk:
