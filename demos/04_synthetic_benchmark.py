@@ -31,7 +31,7 @@ print("size quartiles:", np.percentile(g.edge_degrees, [25, 50, 75, 100]))
 kept = preprocess(g)
 print(f"largest component keeps {kept.n}/{g.n} nodes")
 
-truth_kept = Partition.from_labels(truth.assignment[kept.node_labels])
+truth_kept = Partition.from_labels(truth.assignment[kept.node_labels - 1])
 result = louvain(degree_preserving_reduce(kept))
 print(
     f"louvain finds {result.partition.c} clusters,"

@@ -15,7 +15,9 @@ Run from the root of a checkout, with the package under test importable:
     PYTHONPATH=src python scripts/artifact_manifest.py > manifest.txt
 
 Output is one ``name<TAB>sha256`` line per artifact, sorted by name. The
-path of the ``hypermod`` package that ran goes to stderr.
+path of the ``hypermod`` package that ran and the number of threads its
+OpenBLAS uses go to stderr: the irmm traces of the dense inputs differ
+between thread counts (set ``OPENBLAS_NUM_THREADS`` to compare two trees).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import hypermod as hm
 from hypermod.cli import main as cli_main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from envinfo import blas_threads  # noqa: E402
 from run import INSTANCE_SEED_STRIDE, WORKLOADS  # noqa: E402
 
 # The inputs that bench/run.py draws for its two listed workloads at seed 1.
@@ -81,7 +84,8 @@ def main(argv=None) -> int:
                         help="only the n = 200 inputs of seeds 0 and 1")
     args = parser.parse_args(argv)
     inputs = SMALL_INPUTS[:2] if args.quick else BENCH_INPUTS + SMALL_INPUTS
-    print(f"hypermod from {Path(hm.__file__).parent}", file=sys.stderr)
+    print(f"hypermod from {Path(hm.__file__).parent},"
+          f" {blas_threads()[0]} BLAS thread(s)", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         with contextlib.redirect_stdout(io.StringIO()):

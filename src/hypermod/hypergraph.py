@@ -55,11 +55,10 @@ class Hypergraph:
     it are ``edge_degrees``, ``pins`` (all rows' nodes in edge order, as
     int64), ``edges`` (one array per hyperedge) and, built on request, the
     n x m ``incidence()``.
-    ``node_labels`` optionally records external identifiers; it is carried
-    through preprocessing so results can be reported against the original
-    numbering. After ``load`` they are the 1-based file ids. A graph built
-    without them, such as ``generate``'s, has none until ``preprocess``,
-    which then records the 0-based indices of the graph it was given.
+    ``node_labels`` holds each node's int64 id, carried through
+    preprocessing so results can be reported against the original
+    numbering. Ids not given are the 1-based ``1 .. n`` that
+    ``write_hmetis`` writes and ``load`` reads back, built on first read.
 
     Instances are immutable by convention and safe to share between threads.
     """
@@ -96,16 +95,21 @@ class Hypergraph:
             node_labels = int64_array(node_labels, "node labels must be integers").copy()
             if node_labels.shape != (n,):
                 raise ValueError("need exactly one label per node")
-        self._store(rows, w, node_labels)
+            self.node_labels = node_labels
+        self._store(rows, w)
 
-    def _store(self, rows, weights, node_labels):
+    def _store(self, rows, weights):
         """Keep ``rows``, which must already be canonical; returns self."""
         self.m, self.n = rows.shape
         self.rows = rows
         self.edge_degrees = np.diff(rows.indptr).astype(np.int64)
         self.weights = weights
-        self.node_labels = node_labels
         return self
+
+    @cached_property
+    def node_labels(self):
+        """Each node's id: the ids given, else ``1 .. n`` (int64)."""
+        return np.arange(1, self.n + 1, dtype=np.int64)
 
     @cached_property
     def pins(self):
@@ -127,7 +131,7 @@ class Hypergraph:
         """Copy of this hypergraph with a new weight vector.
 
         Only the new weights are validated. The copy shares ``rows``,
-        ``edge_degrees`` and ``node_labels`` with this instance.
+        ``edge_degrees`` and ``node_labels`` (once given or read).
         """
         weights = _edge_weights(weights, self.m)
         g = copy.copy(self)
@@ -141,11 +145,7 @@ class Hypergraph:
             return False
         if not np.array_equal(self.weights, other.weights):
             return False
-        if (self.node_labels is None) != (other.node_labels is None):
-            return False
-        if self.node_labels is not None and not np.array_equal(
-            self.node_labels, other.node_labels
-        ):
+        if not np.array_equal(self.node_labels, other.node_labels):
             return False
         return np.array_equal(
             self.edge_degrees, other.edge_degrees
@@ -266,9 +266,7 @@ def loads(text: str) -> Hypergraph:
 
     if len(edges) != m:
         raise FormatError(f"expected {m} hyperedge lines, found {len(edges)}")
-    return Hypergraph(
-        n, edges, weights if weighted else None, node_labels=np.arange(1, n + 1)
-    )
+    return Hypergraph(n, edges, weights if weighted else None)
 
 
 def load(path) -> Hypergraph:
@@ -371,11 +369,8 @@ def preprocess(g: Hypergraph) -> Hypergraph:
     with the lowest node index in its component (``_component_labels``);
     the largest component wins and ties go to the lowest label, i.e. to the
     component containing the lowest node index. Hyperedges keep their
-    order and weights. Node indices are compacted; prior identifiers are
-    preserved in ``node_labels``: 1-based file ids for a loaded graph, or,
-    for a graph without labels (e.g. from ``generate``), its 0-based
-    indices. So index a truth array by ``node_labels - 1`` after ``load``
-    and by ``node_labels`` after ``generate``.
+    order and weights. Node indices are compacted; the kept nodes' ids are
+    preserved in ``node_labels``.
 
     Raises ValueError if no hyperedge with at least two nodes remains.
     """
@@ -402,6 +397,6 @@ def preprocess(g: Hypergraph) -> Hypergraph:
     # Kept nodes keep their order, so the remapped rows stay sorted.
     shape = (rows.shape[0], kept_nodes.size)
     rows = sparse.csr_matrix((rows.data, remap[rows.indices], rows.indptr), shape)
-    old_labels = g.node_labels if g.node_labels is not None else np.arange(g.n)
-    kept = Hypergraph.__new__(Hypergraph)
-    return kept._store(rows, g.weights[keep][inside], old_labels[kept_nodes])
+    kept = Hypergraph.__new__(Hypergraph)._store(rows, g.weights[keep][inside])
+    kept.node_labels = g.node_labels[kept_nodes]
+    return kept

@@ -149,7 +149,12 @@ def aggregate(graph: ReducedGraph, partition: Partition) -> ReducedGraph:
     aggregate under the identity partition equals the fine graph's
     modularity under ``partition``. With one cluster both sums are the
     single stored value, which puts the one-cluster modularity at exactly 0.
+    Raises ``ValueError`` when the graph's 2m is not finite.
     """
+    if not np.isfinite(graph.total_weight_2m):
+        raise ValueError(
+            f"total edge weight 2m = {graph.total_weight_2m!r} is not finite"
+        )
     adjacency = graph.dense if graph.dense is not None else graph.adjacency
     return ReducedGraph(cluster_matrix(adjacency, partition.assignment, partition.c))
 
@@ -163,10 +168,6 @@ def modularity(graph, partition: Partition) -> float:
     """
     if len(partition) != graph.n:
         raise ValueError("partition does not cover the graph's nodes")
-    if not np.isfinite(graph.total_weight_2m):
-        raise ValueError(
-            f"total edge weight 2m = {graph.total_weight_2m!r} is not finite"
-        )
     clusters = aggregate(graph, partition)
     sigma_tot = clusters.node_degrees
     two_m = np.add.reduce(sigma_tot)

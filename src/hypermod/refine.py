@@ -38,7 +38,7 @@ def agglomerate(graph: ReducedGraph, partition: Partition, k: int) -> Partition:
     if k == partition.c:
         return Partition(partition.assignment)
 
-    weight = aggregate(graph, partition).to_dense()
+    weight = aggregate(graph, partition).to_dense()  # rejects a non-finite 2m
     sizes = partition.cluster_sizes.astype(np.float64)
     parent = np.arange(partition.c)
     live = np.arange(partition.c)

@@ -502,9 +502,8 @@ def preprocess_union_find(g):
         if remap[e[0]] >= 0:
             edges.append(remap[e])
             weights.append(g.weights[i])
-    old_labels = g.node_labels if g.node_labels is not None else np.arange(g.n)
     return Hypergraph(
-        kept_nodes.size, edges, np.asarray(weights), old_labels[kept_nodes]
+        kept_nodes.size, edges, np.asarray(weights), g.node_labels[kept_nodes]
     )
 
 

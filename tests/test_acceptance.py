@@ -206,7 +206,7 @@ class TestAcceptance:
         for seed in range(30):
             g, truth_all = generate(GenConfig(n=200, classes=4, seed=seed))
             g = preprocess(g)
-            truth = Partition.from_labels(truth_all.assignment[g.node_labels])
+            truth = Partition.from_labels(truth_all.assignment[g.node_labels - 1])
             scores["clique-louvain"].append(
                 symmetric_f1(louvain(clique_reduce(g)).partition, truth)
             )

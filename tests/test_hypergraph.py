@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hypermod import (
     FormatError,
+    GenConfig,
     Hypergraph,
     Partition,
     degrees,
+    generate,
     load,
     load_labels,
     loads,
@@ -98,6 +102,38 @@ class TestLoad:
         assert back.m == g.m
         assert np.array_equal(back.weights, g.weights)
         assert all(np.array_equal(a, b) for a, b in zip(back.edges, g.edges))
+
+    @staticmethod
+    def generated_and_reloaded(tmp_path):
+        # Sparse pairs and triples: preprocess drops about a quarter of the nodes.
+        small = ((1.0, 2, 3),)
+        g, _ = generate(
+            GenConfig(n=200, classes=10, size_buckets=small, edge_factor=0.6)
+        )
+        write_hmetis(g, tmp_path / "g.hgr")
+        return g, load(tmp_path / "g.hgr")
+
+    def test_generated_graph_equals_its_reloaded_copy(self, tmp_path):
+        g, back = self.generated_and_reloaded(tmp_path)
+        assert back == g
+
+    def test_reloaded_copy_preprocesses_to_the_same_ids(self, tmp_path):
+        g, back = self.generated_and_reloaded(tmp_path)
+        kept = preprocess(g)
+        assert kept.n < g.n
+        assert np.array_equal(kept.node_labels, preprocess(back).node_labels)
+
+    def test_header_node_count_allocates_no_ids(self):
+        n = 10**7
+        tracemalloc.start()
+        try:
+            g = loads(f"1 {n}\n1 2\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert g.node_labels.dtype == np.int64
+        assert np.array_equal(g.node_labels, np.arange(1, n + 1))
 
     def test_unweighted_roundtrip_has_plain_header(self, tmp_path):
         g = Hypergraph(3, [[0, 1], [1, 2]])

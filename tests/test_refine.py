@@ -88,6 +88,15 @@ class TestAgglomerate:
         out = agglomerate(graph, Partition([0, 1, 2]), 2)
         assert np.array_equal(out.assignment, [0, 0, 1])
 
+    @pytest.mark.parametrize("weight", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_total_weight_is_rejected(self, weight):
+        dense = np.ones((3, 3)) - np.eye(3)
+        dense[0, 1] = dense[1, 0] = weight
+        with np.errstate(over="ignore"):
+            graph = graph_from_dense(dense)
+        with pytest.raises(ValueError, match="is not finite"):
+            agglomerate(graph, Partition([0, 1, 2]), 2)
+
     def test_exact_target_counts(self):
         rng = np.random.default_rng(14)
         g = random_hypergraph(rng, n_max=40, weighted=True)
