@@ -16,8 +16,9 @@ Run from the root of a checkout, with the package under test importable:
 
 Output is one ``name<TAB>sha256`` line per artifact, sorted by name. The
 path of the ``hypermod`` package that ran and the number of threads its
-OpenBLAS uses go to stderr: the irmm traces of the dense inputs differ
-between thread counts (set ``OPENBLAS_NUM_THREADS`` to compare two trees).
+OpenBLAS uses go to stderr: the irmm traces of a dense input differ
+between thread counts, 2 artifacts between one thread and two (set
+``OPENBLAS_NUM_THREADS`` to compare two trees).
 """
 
 from __future__ import annotations

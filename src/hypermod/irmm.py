@@ -11,6 +11,12 @@ largest when the edge is uncut (the +1 and +c terms keep empty clusters
 harmless). New weights are blended with the old by a moving average
 controlled by ``alpha``, and the loop stops once the weight vector moves
 less than ``threshold``.
+
+The reduction is linear in the weights, so after the first round each
+round's graph is the previous one times alpha plus (1 - alpha) times the
+reduction under w', which is rebuilt only when the partition changes: it
+equals the reduction of the current weights up to rounding. The result's
+``graph`` is the final round's graph, combined that way.
 """
 
 from __future__ import annotations
@@ -27,7 +33,12 @@ from .evaluate import pin_counts
 from .hypergraph import Hypergraph
 from .louvain import ClusterResult, LouvainConfig, louvain
 from .modularity import Partition
-from .reduction import degree_preserving_reduce, row_blocks
+from .reduction import (
+    combine_basis,
+    degree_preserving_reduce,
+    row_blocks,
+    stage_basis,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -92,6 +103,24 @@ def two_way_cut_score(k1: int, k2: int, delta_e: int) -> Fraction:
     return (Fraction(1, k1) + Fraction(1, k2)) * delta_e
 
 
+def _target_weights(g: Hypergraph, partition: Partition) -> np.ndarray:
+    """w'(e) of the module docstring for every hyperedge under ``partition``.
+
+    The counts are the rows of ``pin_counts``, densified one ``row_blocks``
+    block of hyperedges at a time with every cluster's count, zeros
+    included, and each row's 1/(k+1) terms are summed along the row in
+    cluster order. No m x c table is formed.
+    """
+    c, m = partition.c, g.m
+    counts = pin_counts(g, partition)
+    delta = g.edge_degrees
+    wprime = np.empty(m)
+    for e0, e1 in row_blocks(m, c):
+        inv = 1.0 / (counts[e0:e1].toarray() + 1.0)
+        wprime[e0:e1] = inv.sum(axis=1) * (delta[e0:e1] + c) / m
+    return wprime
+
+
 def update_weights(
     weights: np.ndarray, g: Hypergraph, partition: Partition, alpha: float
 ) -> np.ndarray:
@@ -99,21 +128,11 @@ def update_weights(
 
     Returns ``alpha * weights + (1 - alpha) * w'``, where w'(e) is the
     formula above; it depends only on the partition, never on the edge's
-    current weight. The counts are the rows of ``pin_counts``, densified
-    one ``row_blocks`` block of hyperedges at a time with every cluster's
-    count, zeros included, and each row's 1/(k+1) terms are summed along
-    the row in cluster order. No m x c table is formed.
+    current weight.
     """
-    c, m = partition.c, g.m
-    if np.shape(weights) != (m,):
+    if np.shape(weights) != (g.m,):
         raise ValueError("need exactly one weight per hyperedge")
-    counts = pin_counts(g, partition)
-    delta = g.edge_degrees
-    wprime = np.empty(m)
-    for e0, e1 in row_blocks(m, c):
-        inv = 1.0 / (counts[e0:e1].toarray() + 1.0)
-        wprime[e0:e1] = inv.sum(axis=1) * (delta[e0:e1] + c) / m
-    return alpha * weights + (1.0 - alpha) * wprime
+    return alpha * weights + (1.0 - alpha) * _target_weights(g, partition)
 
 
 def irmm(g: Hypergraph, config: IrmmConfig | None = None) -> ClusterResult:
@@ -121,19 +140,35 @@ def irmm(g: Hypergraph, config: IrmmConfig | None = None) -> ClusterResult:
 
     ``g`` must be preprocessed (every hyperedge degree >= 2). Returns the
     final round's Louvain result with the round count, the per-round trace
-    and the final weights; if the weights never move less than the
+    and ``weights``, the vector after the last update: one step past the
+    weights of the returned graph. If the weights never move less than the
     threshold within ``max_iters`` rounds, ``converged`` is False.
+
+    Only the first round builds through ``degree_preserving_reduce``; each
+    later one combines the previous graph, in its buffer, with the basis
+    (1 - alpha)·A(w'), which ``stage_basis`` builds again only when Louvain
+    returns a partition other than the one it was built for.
     """
     cfg = config if config is not None else IrmmConfig()
     weights = np.array(g.weights, dtype=np.float64)
     trace: list[IrmmIteration] = []
     converged = False
+    graph = basis = based_on = None
     for it in range(1, cfg.max_iters + 1):
         weighted = g.with_weights(weights)
-        # The previous round's result holds its reduced graph; release it
-        # before this round builds and clusters another.
-        result = None
-        result = louvain(degree_preserving_reduce(weighted), cfg.louvain)
+        if graph is None:
+            graph = degree_preserving_reduce(weighted)
+        else:
+            # The previous round's result holds its graph; release it
+            # before that graph's buffer becomes this round's.
+            partition, result = result.partition, None
+            if partition != based_on:
+                basis = None  # never hold two bases at once
+                target = g.with_weights(_target_weights(g, partition))
+                basis = stage_basis(graph, target, 1.0 - cfg.alpha)
+                based_on = partition
+            graph = combine_basis(graph, basis, cfg.alpha, weighted)
+        result = louvain(graph, cfg.louvain)
         previous = weights
         weights = update_weights(previous, weighted, result.partition, cfg.alpha)
         delta = float(np.max(np.abs(weights - previous)))

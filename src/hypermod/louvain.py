@@ -69,14 +69,16 @@ class ClusterResult:
     partition: the clustering of the input graph's nodes.
     modularity: Q of ``partition`` on ``graph``, recomputed from scratch.
     graph: the reduced graph that was clustered (for irmm, the final
-    round's degree-preserving reduction).
+    round's combined graph: the reduction of that round's weights, up to
+    rounding).
     levels: one partition per level that moved a node, finest first (the
     singletons or a recut alone when none moved); each level partitions
     the previous level's clusters, and ``flatten(levels) == partition``.
     iterations/converged/trace: reweighting rounds run, whether the
     weights settled, and one ``IrmmIteration`` per round (a single
     Louvain run reports 1, True and an empty trace).
-    weights: the final hyperedge weights (irmm only; None otherwise).
+    weights: the hyperedge weights after irmm's last update, one step
+    past the weights of ``graph`` (irmm only; None otherwise).
     """
 
     partition: Partition

@@ -34,6 +34,11 @@ about twice the result's own bytes (README "Memory"). Both layouts hold
 the same bits, and both are exactly symmetric. The output is combinatorial in hyperedge
 size, so a dense copy is refused above ``DENSE_NODE_LIMIT`` nodes. Before
 either build, both reductions check that the row sums fit a float64.
+
+The degree-preserving reduction is linear in the weights: IRMM keeps
+``stage_basis``, a scaled reduction built by the same block products,
+and ``combine_basis`` adds it to a multiple of an earlier reduction in
+that reduction's own buffer.
 """
 
 from __future__ import annotations
@@ -184,18 +189,17 @@ def _dense_edges(delta: np.ndarray, n: int):
     return large
 
 
-def _expand(g: Hypergraph, edge_scale: np.ndarray) -> ReducedGraph:
-    """H diag(edge_scale) H^T with the diagonal removed, split as the
-    module docstring describes; first ``ValueError`` if its row sums,
-    Σ_e s_e·(δ_e - 1)·δ_e in all, would total more than the largest float64.
+def _operands(g: Hypergraph, edge_scale: np.ndarray):
+    """The operands of H diag(edge_scale) H^T, split as the module docstring
+    describes: (left, right, dense, dense_scale); first ``ValueError`` if
+    the row sums, Σ_e s_e·(δ_e - 1)·δ_e in all, would total more than the
+    largest float64.
 
     The rows of the small hyperedges (all of them when none is large) are
     the sparse product's right factor, and their transpose, a new CSR
-    scaled in place, its left one. The dense build runs the sparse
-    products of all row blocks first, then the BLAS products, and only
-    then mirrors the triangle and lets ``ReducedGraph`` sum the rows: BLAS
-    threads left idle between two calls spin, so a single-threaded step
-    run between them costs twice its time in CPU.
+    scaled in place, its left one. ``dense`` is the n x k incidence of the
+    k large hyperedges and ``dense_scale`` their scales, both None when no
+    hyperedge is large.
     """
     n, delta = g.n, g.edge_degrees
     # No BLAS dot: its threads, woken on a path with no GEMM, would spin.
@@ -212,34 +216,71 @@ def _expand(g: Hypergraph, edge_scale: np.ndarray) -> ReducedGraph:
     left = right.T.tocsr()
     left.data *= (edge_scale if large is None else edge_scale[~large])[left.indices]
     if large is None:
+        return left, right, None, None
+    return left, right, g.rows[large].T.toarray(), edge_scale[large]
+
+
+def _upper_products(left, right, dense, dense_scale, put, add) -> None:
+    """Run the products of the row blocks r0:r1 of the upper triangle, each
+    against columns r0:n: ``put(r0, r1, csr)`` with the sparse product of
+    every block first, then ``add(r0, r1, array)`` with the BLAS product of
+    every block. BLAS threads left idle between two calls spin, so a
+    single-threaded step run between them costs twice its time in CPU.
+    Each product is released before the next is formed.
+    """
+    n = dense.shape[0]
+    for r0, r1 in row_blocks(n, n):
+        put(r0, r1, left[r0:r1] @ right[:, r0:])
+    for r0, r1 in row_blocks(n, n):
+        add(r0, r1, (dense[r0:r1] * dense_scale) @ dense[r0:].T)
+
+
+def _mirror(out: np.ndarray) -> None:
+    """Copy the strict upper triangle of ``out`` onto the strict lower one,
+    a row block at a time, and zero the diagonal."""
+    n = out.shape[0]
+    for r0, r1 in row_blocks(n, n):
+        out[r0:r1, :r0] = out[:r0, r0:r1].T
+        corner = out[r0:r1, r0:r1]
+        np.copyto(corner, corner.T, where=np.tri(r1 - r0, k=-1, dtype=bool))
+    np.fill_diagonal(out, 0.0)
+
+
+def _expand(g: Hypergraph, edge_scale: np.ndarray) -> ReducedGraph:
+    """H diag(edge_scale) H^T with the diagonal removed, split as the
+    module docstring describes, from the operands of ``_operands``.
+
+    The dense build takes every block of ``_upper_products``, mirrors the
+    triangle and only then lets ``ReducedGraph`` sum the rows, so that no
+    single-threaded step runs between two BLAS calls.
+    """
+    n = g.n
+    left, right, dense, dense_scale = _operands(g, edge_scale)
+    if dense is None:
         prod = left @ right
         # Every node in a hyperedge has a stored diagonal entry, so zeroing
         # only theirs inserts none; ``ReducedGraph`` drops the zeros.
         edged = np.flatnonzero(np.diff(left.indptr))
         prod[edged, edged] = 0.0
         return ReducedGraph(prod)
-    dense = g.rows[large].T.toarray()
-    dense_scale = edge_scale[large]
 
     # Row i has at most min(n - 1, sum over its edges of (size - 1)) entries.
     bound = np.minimum(n - 1, g.rows.T @ (g.edge_degrees - 1.0)).astype(np.int64)
     if 3 * int(bound.sum()) >= 2 * n * n and n <= DENSE_NODE_LIMIT:
         out = np.empty((n, n))
-        for r0, r1 in row_blocks(n, n):
-            block = left[r0:r1] @ right[:, r0:]
+
+        def put(r0, r1, block):
             # Shifted to the columns of ``out``, the block fills its rows in
             # place; the cells it zeroes below the diagonal are mirrored over.
             block.indices += r0
             shifted = (block.data, block.indices, block.indptr)
             sparse.csr_matrix(shifted, shape=(r1 - r0, n)).toarray(out=out[r0:r1])
-        for r0, r1 in row_blocks(n, n):
-            out[r0:r1, r0:] += (dense[r0:r1] * dense_scale) @ dense[r0:].T
-        for r0, r1 in row_blocks(n, n):
-            # The strict lower triangle copies the strict upper one.
-            out[r0:r1, :r0] = out[:r0, r0:r1].T
-            corner = out[r0:r1, r0:r1]
-            np.copyto(corner, corner.T, where=np.tri(r1 - r0, k=-1, dtype=bool))
-        np.fill_diagonal(out, 0.0)
+
+        def add(r0, r1, block):
+            out[r0:r1, r0:] += block
+
+        _upper_products(left, right, dense, dense_scale, put, add)
+        _mirror(out)
         return ReducedGraph(out)
     # Row i of the strict upper triangle U has at most n - 1 - i entries.
     capacity = int(np.minimum(bound, np.arange(n - 1, -1, -1)).sum())
@@ -271,18 +312,10 @@ def clique_reduce(g: Hypergraph) -> ReducedGraph:
     return _expand(g, g.weights)
 
 
-def degree_preserving_reduce(g: Hypergraph) -> ReducedGraph:
-    """Expansion scaled per hyperedge by 1/(degree - 1).
-
-    Row sums of the result equal the weighted hypergraph node degrees
-    (checked to 1e-9 relative, at any weight scale). Requires every
-    hyperedge to have at least two nodes, i.e. a preprocessed hypergraph,
-    every weight / (degree - 1) to be a normal float64, at least
-    ``np.finfo(float).tiny``, and the weighted node degrees to total at most
-    ``np.finfo(float).max``, which ``_expand`` checks for both reductions;
-    raises ``ValueError`` otherwise. The build and its two layouts are
-    those of the module docstring.
-    """
+def _edge_scale(g: Hypergraph) -> np.ndarray:
+    """Each hyperedge's weight / (degree - 1); ``ValueError`` for a
+    hyperedge of fewer than two nodes or a scale below the smallest normal
+    float64."""
     delta = g.edge_degrees
     if int(delta.min()) < 2:
         raise ValueError(
@@ -297,7 +330,12 @@ def degree_preserving_reduce(g: Hypergraph) -> ReducedGraph:
             f"hyperedge weight / (degree - 1) = {smallest!r} lies below the"
             f" smallest normal float64, {tiny!r}; rescale the weights"
         )
-    reduced = _expand(g, scale)
+    return scale
+
+
+def _check_degrees(reduced: ReducedGraph, g: Hypergraph) -> ReducedGraph:
+    """``reduced``, once its row sums match the node degrees of ``g`` to
+    1e-9 relative; ``RuntimeError`` otherwise."""
     expected = degrees(g).node_degrees
     if not np.allclose(reduced.node_degrees, expected, rtol=1e-9, atol=0.0):
         raise RuntimeError(
@@ -305,6 +343,101 @@ def degree_preserving_reduce(g: Hypergraph) -> ReducedGraph:
             " hypergraph node degrees"
         )
     return reduced
+
+
+def degree_preserving_reduce(g: Hypergraph) -> ReducedGraph:
+    """Expansion scaled per hyperedge by 1/(degree - 1).
+
+    Row sums of the result equal the weighted hypergraph node degrees
+    (checked to 1e-9 relative, at any weight scale). Requires every
+    hyperedge to have at least two nodes, i.e. a preprocessed hypergraph,
+    every weight / (degree - 1) to be a normal float64, at least
+    ``np.finfo(float).tiny``, and the weighted node degrees to total at most
+    ``np.finfo(float).max``, which ``_operands`` checks for both reductions;
+    raises ``ValueError`` otherwise. The build and its two layouts are
+    those of the module docstring.
+    """
+    return _check_degrees(_expand(g, _edge_scale(g)), g)
+
+
+def stage_basis(graph: ReducedGraph, g: Hypergraph, factor: float):
+    """``factor`` times the degree-preserving reduction of ``g``, kept for
+    ``combine_basis``; ``graph`` must be that of the same hyperedges under
+    other positive weights, and is used up.
+
+    ``g`` gets the checks of ``degree_preserving_reduce``. On the dense
+    layout the reduction's upper row blocks come from ``_upper_products``,
+    as ``_expand`` builds them, so every strict upper cell has the bits of
+    ``degree_preserving_reduce(g)``. They are written, transposed, into the
+    strict lower triangle of ``graph``, which only repeats its upper one, so
+    no second n x n array is held while the operands are. Returns one array
+    per ``row_blocks(n, n)`` block r0:r1, its rows' columns r0:n scaled by
+    ``factor``, with zeros on and below the diagonal: about 4·n² bytes.
+    On CSR the reduction is built whole and only its scaled data array is
+    returned; ``RuntimeError`` if its sparsity pattern is not ``graph``'s.
+    """
+    scale = _edge_scale(g)
+    out, n = graph.dense, graph.n
+    if out is None:
+        basis = _expand(g, scale).adjacency
+        adjacency = graph.adjacency
+        if not (
+            np.array_equal(basis.indptr, adjacency.indptr)
+            and np.array_equal(basis.indices, adjacency.indices)
+        ):
+            raise RuntimeError(
+                "the reweighted reduction's sparsity pattern differs from"
+                " the graph's"
+            )
+        basis.data *= factor
+        return basis.data
+
+    # Block cell (i, j) lands on out[r0 + j, r0 + i]: below the diagonal
+    # for j > i, and on the part of ``graph`` kept for j <= i.
+    def put(r0, r1, block):
+        block, h = block.toarray(), r1 - r0
+        tail, corner = out[r1:, r0:r1].T, out[r0:r1, r0:r1].T
+        tail[...] = block[:, h:]
+        np.copyto(corner, block[:, :h], where=~np.tri(h, dtype=bool))
+
+    def add(r0, r1, block):
+        h = r1 - r0
+        tail, corner = out[r1:, r0:r1].T, out[r0:r1, r0:r1].T
+        tail += block[:, h:]
+        np.add(corner, block[:, :h], out=corner, where=~np.tri(h, dtype=bool))
+
+    # The operands live only in this call, not beside the blocks below.
+    _upper_products(*_operands(g, scale), put, add)
+    blocks = []
+    for r0, r1 in row_blocks(n, n):
+        block = np.empty((r1 - r0, n - r0))
+        np.multiply(out[r0:, r0:r1].T, factor, out=block)
+        block[:, : r1 - r0][np.tri(r1 - r0, dtype=bool)] = 0.0
+        blocks.append(block)
+    return blocks
+
+
+def combine_basis(graph: ReducedGraph, basis, alpha: float, g: Hypergraph):
+    """``alpha`` times ``graph`` plus a ``stage_basis`` result, formed in
+    the buffer of ``graph``, which is used up; the new graph's row sums
+    must match the node degrees of ``g`` as ``degree_preserving_reduce``
+    checks them.
+
+    Only numpy elementwise operations: a BLAS call would wake threads that
+    then spin through the Louvain run that follows.
+    """
+    out = graph.dense
+    if out is None:
+        adjacency = graph.adjacency
+        adjacency.data *= alpha
+        adjacency.data += basis
+        return _check_degrees(ReducedGraph(adjacency), g)
+    for (r0, r1), block in zip(row_blocks(graph.n, graph.n), basis):
+        rect = out[r0:r1, r0:]
+        rect *= alpha
+        rect += block
+    _mirror(out)
+    return _check_degrees(ReducedGraph(out), g)
 
 
 def random_walk_matrix(g: Hypergraph):

@@ -397,6 +397,42 @@ def louvain_rerun_always(graph, config=None):
     return ClusterResult(flat, modularity(graph, flat), graph, levels)
 
 
+def irmm_rebuild_reference(g, config=None):
+    """IRMM that builds every round's graph afresh with
+    ``degree_preserving_reduce`` of the current weights, instead of
+    combining the previous graph with a reused basis."""
+    from dataclasses import replace
+
+    from hypermod.irmm import IrmmConfig, IrmmIteration, update_weights
+    from hypermod.louvain import louvain
+    from hypermod.reduction import degree_preserving_reduce
+
+    cfg = config if config is not None else IrmmConfig()
+    weights = np.array(g.weights, dtype=np.float64)
+    trace = []
+    converged = False
+    for it in range(1, cfg.max_iters + 1):
+        weighted = g.with_weights(weights)
+        result = None
+        result = louvain(degree_preserving_reduce(weighted), cfg.louvain)
+        previous = weights
+        weights = update_weights(previous, weighted, result.partition, cfg.alpha)
+        delta = float(np.max(np.abs(weights - previous)))
+        trace.append(
+            IrmmIteration(it, delta, result.modularity, result.partition.c)
+        )
+        if delta < cfg.threshold:
+            converged = True
+            break
+    return replace(
+        result,
+        iterations=len(trace),
+        converged=converged,
+        trace=trace,
+        weights=weights,
+    )
+
+
 def agglomerate_rebuild_linkage(weight, sizes, k):
     """Average-linkage merging down to k clusters that rebuilds the whole
     c x c linkage for every merge. ``weight`` is the dense cluster-level

@@ -1,3 +1,5 @@
+import importlib
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,9 +20,14 @@ from hypermod import (
     update_weights,
     write_trace,
 )
+from hypermod import reduction
+from hypermod.reduction import combine_basis, row_blocks, stage_basis
 from hypermod.synthgen import GenConfig, generate
 
-from oracles import bits, reweight_exact, reweighted_by_edge
+from oracles import bits, irmm_rebuild_reference, reweight_exact, reweighted_by_edge
+
+# The module, not the function the package exports under the same name.
+irmm_module = importlib.import_module("hypermod.irmm")
 
 
 class TestTwoWayCutScore:
@@ -378,3 +385,165 @@ class TestIrmm:
         again = louvain(res.graph, LouvainConfig())
         assert again.partition == res.partition
         assert again.modularity == res.modularity
+
+
+def split_csr_input():
+    """Six 90-node hyperedges among 300 nodes take the BLAS product, and
+    the predicted fill (under 1/2) keeps the split reduction in CSR."""
+    rng = np.random.default_rng(0)
+    edges = [rng.choice(300, 90, replace=False) for _ in range(6)]
+    edges += [rng.choice(300, 3, replace=False) for _ in range(600)]
+    return preprocess(Hypergraph(300, edges))
+
+
+REUSE_INPUTS = {
+    **{f"seed{s}": GenConfig(n=200, classes=4, seed=s) for s in range(30)},
+    "csr": GenConfig(n=200, classes=4, seed=0, size_buckets=((1.0, 2, 6),)),
+    "split-csr": None,
+}
+
+
+class TestReuseMatchesRebuild:
+    """Combining the previous graph with a reused basis clusters as
+    rebuilding the reduction every round does."""
+
+    @pytest.mark.parametrize("name", list(REUSE_INPUTS))
+    def test_same_rounds_partitions_and_weights(self, name):
+        cfg = REUSE_INPUTS[name]
+        g = split_csr_input() if cfg is None else preprocess(generate(cfg)[0])
+        got, want = irmm(g), irmm_rebuild_reference(g)
+        assert (got.graph.dense is None) == (name in ("csr", "split-csr"))
+        assert got.partition == want.partition
+        assert got.levels == want.levels
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert np.array_equal(bits(got.weights), bits(want.weights))
+        for mine, theirs in zip(got.trace, want.trace, strict=True):
+            assert bits(mine.weight_delta) == bits(theirs.weight_delta)
+            assert mine.num_clusters == theirs.num_clusters
+            assert mine.modularity == pytest.approx(theirs.modularity, rel=0, abs=1e-12)
+        assert got.modularity == pytest.approx(want.modularity, rel=0, abs=1e-12)
+
+
+class TestBasisReuse:
+    @staticmethod
+    def counted(monkeypatch):
+        """Record every build, staged basis, partition and update of irmm."""
+        log = {"builds": [], "staged": [], "partitions": [], "updates": 0}
+
+        def reduce(weighted):
+            log["builds"].append("reduce")
+            return degree_preserving_reduce(weighted)
+
+        def stage(graph, target, factor):
+            log["builds"].append("basis")
+            blocks = stage_basis(graph, target, factor)
+            log["staged"].append((target, factor, blocks))
+            return blocks
+
+        def cluster(graph, config):
+            result = louvain(graph, config)
+            log["partitions"].append(result.partition)
+            return result
+
+        def update(*args):
+            log["updates"] += 1
+            return update_weights(*args)
+
+        monkeypatch.setattr(irmm_module, "degree_preserving_reduce", reduce)
+        monkeypatch.setattr(irmm_module, "stage_basis", stage)
+        monkeypatch.setattr(irmm_module, "louvain", cluster)
+        monkeypatch.setattr(irmm_module, "update_weights", update)
+        return log
+
+    @pytest.mark.parametrize("block_cells", [None, 2**12])
+    def test_fixed_partition_builds_twice(self, block_cells, monkeypatch):
+        # At 2**12 cells the 200 rows take 10 blocks of 20, so the staged
+        # blocks cross the diagonal in many corners; else they take one.
+        if block_cells is not None:
+            monkeypatch.setattr(reduction, "_BLOCK_CELLS", block_cells)
+        g = preprocess(generate(GenConfig(n=200, classes=4, seed=9))[0])
+        log = self.counted(monkeypatch)
+        res = irmm(g)
+        partitions = log["partitions"]
+        assert res.iterations == len(partitions) == log["updates"] == 7
+        assert all(p == partitions[0] for p in partitions)
+        assert log["builds"] == ["reduce", "basis"]
+        [(target, factor, blocks)] = log["staged"]
+        assert factor == 1.0 - IrmmConfig().alpha
+        wprime = update_weights(g.weights, g, partitions[0], 0.0)
+        assert np.array_equal(bits(target.weights), bits(wprime))
+        fresh = degree_preserving_reduce(target).dense
+        spans = list(row_blocks(g.n, g.n))
+        assert len(spans) == (1 if block_cells is None else 10)
+        for (r0, r1), block in zip(spans, blocks, strict=True):
+            assert block.shape == (r1 - r0, g.n - r0)
+            want = np.triu(fresh[r0:r1, r0:] * factor, 1)
+            assert np.array_equal(bits(block), bits(want))
+
+    def test_csr_basis_is_the_scaled_data(self, monkeypatch):
+        cfg = REUSE_INPUTS["csr"]
+        g = preprocess(generate(cfg)[0])
+        log = self.counted(monkeypatch)
+        res = irmm(g)
+        assert res.graph.dense is None
+        assert log["builds"][0] == "reduce" and len(log["builds"]) >= 2
+        changes = sum(a != b for a, b in zip(log["partitions"], log["partitions"][1:]))
+        assert log["builds"].count("basis") == 1 + changes
+        for target, factor, data in log["staged"]:
+            fresh = degree_preserving_reduce(target).adjacency
+            assert np.array_equal(bits(data), bits(fresh.data * factor))
+
+    def test_csr_pattern_must_match(self):
+        g = Hypergraph(5, [[0, 1, 2], [2, 3], [3, 4]])
+        other = Hypergraph(5, [[0, 1], [1, 2, 3], [3, 4]])
+        graph = degree_preserving_reduce(g)
+        with pytest.raises(RuntimeError, match="sparsity pattern"):
+            stage_basis(graph, other, 0.5)
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [(1e-318, "smallest normal float64"), (1e308, "beyond the largest float64")],
+    )
+    def test_basis_gets_the_reduction_checks(self, weight, message):
+        # Both errors come before the graph's buffer is written.
+        g = preprocess(generate(GenConfig(n=200, classes=4, seed=9))[0])
+        graph = degree_preserving_reduce(g)
+        before = graph.dense.copy()
+        with pytest.raises(ValueError, match=message):
+            stage_basis(graph, g.with_weights(np.full(g.m, weight)), 0.5)
+        assert np.array_equal(bits(graph.dense), bits(before))
+
+    def test_combined_degrees_are_checked(self):
+        g = preprocess(generate(GenConfig(n=200, classes=4, seed=9))[0])
+        graph = degree_preserving_reduce(g)
+        basis = stage_basis(graph, g, 0.5)
+        with pytest.raises(RuntimeError, match="drifted"):
+            combine_basis(graph, basis, 0.5, g.with_weights(2.0 * g.weights))
+
+    def test_combined_graph_is_the_weighted_sum(self):
+        g = preprocess(generate(GenConfig(n=200, classes=4, seed=9))[0])
+        w = np.random.default_rng(1).uniform(0.5, 2.0, size=g.m)
+        old, new = g.with_weights(w), g.with_weights(3.0 * w[::-1])
+        graph = degree_preserving_reduce(old)
+        want = 0.25 * graph.dense + 0.75 * degree_preserving_reduce(new).dense
+        mixed = g.with_weights(0.25 * old.weights + 0.75 * new.weights)
+        combined = combine_basis(graph, stage_basis(graph, new, 0.75), 0.25, mixed)
+        assert combined.dense is graph.dense
+        assert np.array_equal(bits(combined.dense), bits(combined.dense.T))
+        assert not combined.dense.diagonal().any()
+        np.testing.assert_allclose(combined.dense, want, rtol=1e-14, atol=0)
+
+    def test_peak_memory_stays_near_one_reduction(self):
+        # A second n x n basis would add about 8·n² bytes; staging it in
+        # the graph's lower triangle keeps it to about 4·n².
+        g = preprocess(generate(GenConfig(n=1500, seed=1))[0])
+        tracemalloc.start()
+        try:
+            degree_preserving_reduce(g)
+            reduce_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            irmm(g)
+            irmm_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert irmm_peak <= reduce_peak + 2 * g.n**2
