@@ -25,20 +25,21 @@ with sorted indices. Otherwise only the upper triangle is computed: row
 block r0:r1 takes both products against columns r0:n alone, so entries
 differ from the plain product only by summation order. When a per-row
 bound predicts at least 2/3 fill, where a CSR entry would cost 12 bytes,
-and n is at most ``DENSE_NODE_LIMIT``, the blocks go into one n x n
-float64 array (8·n² bytes) whose strict upper triangle is then copied
-onto the lower one, a row block at a time. Else they are scanned into
-the strict upper triangle U as CSR, with no n x n temporary, and the
-result is U + Uᵀ; forming that sum holds U, Uᵀ and the result at once,
-about twice the result's own bytes (README "Memory"). Both layouts hold
-the same bits, and both are exactly symmetric. The output is combinatorial in hyperedge
-size, so a dense copy is refused above ``DENSE_NODE_LIMIT`` nodes. Before
-either build, both reductions check that the row sums fit a float64.
+and n is at most ``DENSE_NODE_LIMIT``, the blocks are written, transposed,
+into the strict lower triangle of one n x n float64 array (8·n² bytes),
+then copied onto the upper one a row block at a time. Else they are
+scanned into the strict upper triangle U as CSR, with no n x n
+temporary, and the result is U + Uᵀ; forming that sum holds U, Uᵀ and
+the result at once, about twice the result's own bytes (README
+"Memory"). Both layouts hold the same bits, and both are exactly
+symmetric. The output is combinatorial in hyperedge size, so a dense
+copy is refused above ``DENSE_NODE_LIMIT`` nodes. Before either build,
+both reductions check that the row sums fit a float64.
 
 The degree-preserving reduction is linear in the weights: IRMM keeps
-``stage_basis``, a scaled reduction built by the same block products,
-and ``combine_basis`` adds it to a multiple of an earlier reduction in
-that reduction's own buffer.
+``stage_basis``, a scaled reduction whose dense blocks the same writer
+puts into an earlier reduction's lower triangle, and ``combine_basis``
+adds it to a multiple of that reduction in its own buffer.
 """
 
 from __future__ import annotations
@@ -220,19 +221,27 @@ def _operands(g: Hypergraph, edge_scale: np.ndarray):
     return left, right, g.rows[large].T.toarray(), edge_scale[large]
 
 
-def _upper_products(left, right, dense, dense_scale, put, add) -> None:
-    """Run the products of the row blocks r0:r1 of the upper triangle, each
-    against columns r0:n: ``put(r0, r1, csr)`` with the sparse product of
-    every block first, then ``add(r0, r1, array)`` with the BLAS product of
-    every block. BLAS threads left idle between two calls spin, so a
-    single-threaded step run between them costs twice its time in CPU.
-    Each product is released before the next is formed.
+def _write_lower(left, right, dense, dense_scale, out) -> None:
+    """Write the upper triangle's row blocks r0:r1, the products of the
+    operands of ``_operands`` against columns r0:n, transposed into the
+    strict lower triangle of the n x n ``out``, touching no other cell:
+    block cell (i, j), j > i, lands on out[r0 + j, r0 + i].
+
+    The sparse product of every block is written first, then the BLAS
+    product of every block added: BLAS threads left idle between two calls
+    spin, so a single-threaded step run between them costs twice its time
+    in CPU. Each product is released before the next is formed.
     """
-    n = dense.shape[0]
+    n = out.shape[0]
     for r0, r1 in row_blocks(n, n):
-        put(r0, r1, left[r0:r1] @ right[:, r0:])
+        block, h = (left[r0:r1] @ right[:, r0:]).toarray(), r1 - r0
+        out[r1:, r0:r1] = block[:, h:].T
+        np.copyto(out[r0:r1, r0:r1].T, block[:, :h], where=~np.tri(h, dtype=bool))
     for r0, r1 in row_blocks(n, n):
-        add(r0, r1, (dense[r0:r1] * dense_scale) @ dense[r0:].T)
+        block, h = (dense[r0:r1] * dense_scale) @ dense[r0:].T, r1 - r0
+        out[r1:, r0:r1] += block[:, h:].T
+        corner = out[r0:r1, r0:r1].T
+        np.add(corner, block[:, :h], out=corner, where=~np.tri(h, dtype=bool))
 
 
 def _mirror(out: np.ndarray) -> None:
@@ -250,9 +259,9 @@ def _expand(g: Hypergraph, edge_scale: np.ndarray) -> ReducedGraph:
     """H diag(edge_scale) H^T with the diagonal removed, split as the
     module docstring describes, from the operands of ``_operands``.
 
-    The dense build takes every block of ``_upper_products``, mirrors the
-    triangle and only then lets ``ReducedGraph`` sum the rows, so that no
-    single-threaded step runs between two BLAS calls.
+    The dense build writes every block with ``_write_lower``, mirrors the
+    lower triangle and only then lets ``ReducedGraph`` sum the rows, so
+    that no single-threaded step runs between two BLAS calls.
     """
     n = g.n
     left, right, dense, dense_scale = _operands(g, edge_scale)
@@ -268,19 +277,8 @@ def _expand(g: Hypergraph, edge_scale: np.ndarray) -> ReducedGraph:
     bound = np.minimum(n - 1, g.rows.T @ (g.edge_degrees - 1.0)).astype(np.int64)
     if 3 * int(bound.sum()) >= 2 * n * n and n <= DENSE_NODE_LIMIT:
         out = np.empty((n, n))
-
-        def put(r0, r1, block):
-            # Shifted to the columns of ``out``, the block fills its rows in
-            # place; the cells it zeroes below the diagonal are mirrored over.
-            block.indices += r0
-            shifted = (block.data, block.indices, block.indptr)
-            sparse.csr_matrix(shifted, shape=(r1 - r0, n)).toarray(out=out[r0:r1])
-
-        def add(r0, r1, block):
-            out[r0:r1, r0:] += block
-
-        _upper_products(left, right, dense, dense_scale, put, add)
-        _mirror(out)
+        _write_lower(left, right, dense, dense_scale, out)
+        _mirror(out.T)
         return ReducedGraph(out)
     # Row i of the strict upper triangle U has at most n - 1 - i entries.
     capacity = int(np.minimum(bound, np.arange(n - 1, -1, -1)).sum())
@@ -366,11 +364,11 @@ def stage_basis(graph: ReducedGraph, g: Hypergraph, factor: float):
     other positive weights, and is used up.
 
     ``g`` gets the checks of ``degree_preserving_reduce``. On the dense
-    layout the reduction's upper row blocks come from ``_upper_products``,
-    as ``_expand`` builds them, so every strict upper cell has the bits of
-    ``degree_preserving_reduce(g)``. They are written, transposed, into the
-    strict lower triangle of ``graph``, which only repeats its upper one, so
-    no second n x n array is held while the operands are. Returns one array
+    layout ``_write_lower`` writes the reduction's upper row blocks,
+    transposed, into the strict lower triangle of ``graph``, which only
+    repeats its upper one, as ``_expand`` writes them into a new array, so
+    every cell has the bits of ``degree_preserving_reduce(g)`` and no
+    second n x n array is held while the operands are. Returns one array
     per ``row_blocks(n, n)`` block r0:r1, its rows' columns r0:n scaled by
     ``factor``, with zeros on and below the diagonal: about 4·n² bytes.
     On CSR the reduction is built whole and only its scaled data array is
@@ -392,22 +390,8 @@ def stage_basis(graph: ReducedGraph, g: Hypergraph, factor: float):
         basis.data *= factor
         return basis.data
 
-    # Block cell (i, j) lands on out[r0 + j, r0 + i]: below the diagonal
-    # for j > i, and on the part of ``graph`` kept for j <= i.
-    def put(r0, r1, block):
-        block, h = block.toarray(), r1 - r0
-        tail, corner = out[r1:, r0:r1].T, out[r0:r1, r0:r1].T
-        tail[...] = block[:, h:]
-        np.copyto(corner, block[:, :h], where=~np.tri(h, dtype=bool))
-
-    def add(r0, r1, block):
-        h = r1 - r0
-        tail, corner = out[r1:, r0:r1].T, out[r0:r1, r0:r1].T
-        tail += block[:, h:]
-        np.add(corner, block[:, :h], out=corner, where=~np.tri(h, dtype=bool))
-
     # The operands live only in this call, not beside the blocks below.
-    _upper_products(*_operands(g, scale), put, add)
+    _write_lower(*_operands(g, scale), out)
     blocks = []
     for r0, r1 in row_blocks(n, n):
         block = np.empty((r1 - r0, n - r0))

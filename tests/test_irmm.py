@@ -513,25 +513,36 @@ class TestBasisReuse:
             stage_basis(graph, g.with_weights(np.full(g.m, weight)), 0.5)
         assert np.array_equal(bits(graph.dense), bits(before))
 
-    def test_combined_degrees_are_checked(self):
-        g = preprocess(generate(GenConfig(n=200, classes=4, seed=9))[0])
+    @pytest.mark.parametrize("name", ["seed9", "csr"])
+    def test_combined_degrees_are_checked(self, name):
+        g = preprocess(generate(REUSE_INPUTS[name])[0])
         graph = degree_preserving_reduce(g)
+        assert (graph.dense is None) == (name == "csr")
         basis = stage_basis(graph, g, 0.5)
         with pytest.raises(RuntimeError, match="drifted"):
             combine_basis(graph, basis, 0.5, g.with_weights(2.0 * g.weights))
 
-    def test_combined_graph_is_the_weighted_sum(self):
-        g = preprocess(generate(GenConfig(n=200, classes=4, seed=9))[0])
+    @pytest.mark.parametrize(
+        "name, block_cells", [("seed9", None), ("seed9", 2**12), ("csr", None)]
+    )
+    def test_combined_graph_is_the_weighted_sum(self, name, block_cells, monkeypatch):
+        # Bit for bit: staging writes no cell that combining reads. At 2**12
+        # cells the dense basis takes 10 row blocks, else one.
+        if block_cells is not None:
+            monkeypatch.setattr(reduction, "_BLOCK_CELLS", block_cells)
+        g = preprocess(generate(REUSE_INPUTS[name])[0])
         w = np.random.default_rng(1).uniform(0.5, 2.0, size=g.m)
         old, new = g.with_weights(w), g.with_weights(3.0 * w[::-1])
         graph = degree_preserving_reduce(old)
-        want = 0.25 * graph.dense + 0.75 * degree_preserving_reduce(new).dense
+        assert (graph.dense is None) == (name == "csr")
+        want = 0.25 * graph.to_dense() + 0.75 * degree_preserving_reduce(new).to_dense()
         mixed = g.with_weights(0.25 * old.weights + 0.75 * new.weights)
         combined = combine_basis(graph, stage_basis(graph, new, 0.75), 0.25, mixed)
         assert combined.dense is graph.dense
-        assert np.array_equal(bits(combined.dense), bits(combined.dense.T))
-        assert not combined.dense.diagonal().any()
-        np.testing.assert_allclose(combined.dense, want, rtol=1e-14, atol=0)
+        got = combined.to_dense()
+        assert np.array_equal(bits(got), bits(got.T))
+        assert not got.diagonal().any()
+        assert np.array_equal(bits(got), bits(want))
 
     def test_peak_memory_stays_near_one_reduction(self):
         # A second n x n basis would add about 8·n² bytes; staging it in
