@@ -248,7 +248,7 @@ def loads(text: str) -> Hypergraph:
                     f"line {lineno}: expected a hyperedge weight first"
                 ) from None
             if not np.isfinite(w) or w <= 0:
-                raise FormatError(f"line {lineno}: weight must be positive")
+                raise FormatError(f"line {lineno}: weight must be finite and positive")
             weights.append(w)
             tokens = tokens[1:]
         try:

@@ -33,12 +33,7 @@ from .evaluate import pin_counts
 from .hypergraph import Hypergraph
 from .louvain import ClusterResult, LouvainConfig, louvain
 from .modularity import Partition
-from .reduction import (
-    combine_basis,
-    degree_preserving_reduce,
-    row_blocks,
-    stage_basis,
-)
+from .reduction import combine_basis, degree_preserving_reduce, stage_basis
 
 logger = logging.getLogger(__name__)
 
@@ -104,21 +99,15 @@ def two_way_cut_score(k1: int, k2: int, delta_e: int) -> Fraction:
 
 
 def _target_weights(g: Hypergraph, partition: Partition) -> np.ndarray:
-    """w'(e) of the module docstring for every hyperedge under ``partition``.
-
-    The counts are the rows of ``pin_counts``, densified one ``row_blocks``
-    block of hyperedges at a time with every cluster's count, zeros
-    included, and each row's 1/(k+1) terms are summed along the row in
-    cluster order. No m x c table is formed.
-    """
-    c, m = partition.c, g.m
+    """w'(e) of the module docstring for every hyperedge under ``partition``,
+    read from the nonzero counts of ``pin_counts``: the cost grows with the
+    pins, not with m x c. Each of a row's c - nnz empty clusters adds exactly
+    1/(0 + 1) = 1, and one ``reduceat`` segment per row (no row is empty)
+    adds its 1/(k+1) terms in ascending cluster order."""
+    c = partition.c
     counts = pin_counts(g, partition)
-    delta = g.edge_degrees
-    wprime = np.empty(m)
-    for e0, e1 in row_blocks(m, c):
-        inv = 1.0 / (counts[e0:e1].toarray() + 1.0)
-        wprime[e0:e1] = inv.sum(axis=1) * (delta[e0:e1] + c) / m
-    return wprime
+    inv = np.add.reduceat(1.0 / (counts.data + 1.0), counts.indptr[:-1])
+    return (c - np.diff(counts.indptr) + inv) * (g.edge_degrees + c) / g.m
 
 
 def update_weights(
@@ -128,7 +117,7 @@ def update_weights(
 
     Returns ``alpha * weights + (1 - alpha) * w'``, where w'(e) is the
     formula above; it depends only on the partition, never on the edge's
-    current weight.
+    current weight. The cost grows with the pins, however many clusters.
     """
     if np.shape(weights) != (g.m,):
         raise ValueError("need exactly one weight per hyperedge")

@@ -62,18 +62,18 @@ __all__ = [
 DENSE_NODE_LIMIT = 20_000
 
 
-# Dense cells per row block of the split build, of dense row sums and of
-# IRMM's count table (2 MB of float64).
+# Dense cells per row block of the split build and of dense row sums
+# (2 MB of float64).
 _BLOCK_CELLS = 1 << 18
 
 
-def row_blocks(rows: int, cols: int):
-    """Yield (start, stop) of consecutive row blocks that cover ``rows``
-    rows of ``cols`` cells: at most ``_BLOCK_CELLS`` cells each, or one
-    row where a row alone holds more."""
-    step = max(1, _BLOCK_CELLS // max(1, cols))
-    for r0 in range(0, rows, step):
-        yield r0, min(rows, r0 + step)
+def row_blocks(n: int):
+    """Yield (start, stop) of consecutive row blocks that cover the rows
+    of an n x n array: at most ``_BLOCK_CELLS`` cells each, or one row
+    where a row alone holds more."""
+    step = max(1, _BLOCK_CELLS // max(1, n))
+    for r0 in range(0, n, step):
+        yield r0, min(n, r0 + step)
 
 
 def _row_sums(dense: np.ndarray) -> np.ndarray:
@@ -81,7 +81,7 @@ def _row_sums(dense: np.ndarray) -> np.ndarray:
     CSR ``sum(axis=1)`` adds the stored entries: one ``reduceat`` per row
     block, which no row spans, so blocks change no bits."""
     sums = np.zeros(dense.shape[0])
-    for r0, r1 in row_blocks(*dense.shape):
+    for r0, r1 in row_blocks(dense.shape[0]):
         block = dense[r0:r1]
         nonzero = block != 0.0
         counts = np.count_nonzero(nonzero, axis=1)
@@ -233,11 +233,11 @@ def _write_lower(left, right, dense, dense_scale, out) -> None:
     in CPU. Each product is released before the next is formed.
     """
     n = out.shape[0]
-    for r0, r1 in row_blocks(n, n):
+    for r0, r1 in row_blocks(n):
         block, h = (left[r0:r1] @ right[:, r0:]).toarray(), r1 - r0
         out[r1:, r0:r1] = block[:, h:].T
         np.copyto(out[r0:r1, r0:r1].T, block[:, :h], where=~np.tri(h, dtype=bool))
-    for r0, r1 in row_blocks(n, n):
+    for r0, r1 in row_blocks(n):
         block, h = (dense[r0:r1] * dense_scale) @ dense[r0:].T, r1 - r0
         out[r1:, r0:r1] += block[:, h:].T
         corner = out[r0:r1, r0:r1].T
@@ -248,7 +248,7 @@ def _mirror(out: np.ndarray) -> None:
     """Copy the strict upper triangle of ``out`` onto the strict lower one,
     a row block at a time, and zero the diagonal."""
     n = out.shape[0]
-    for r0, r1 in row_blocks(n, n):
+    for r0, r1 in row_blocks(n):
         out[r0:r1, :r0] = out[:r0, r0:r1].T
         corner = out[r0:r1, r0:r1]
         np.copyto(corner, corner.T, where=np.tri(r1 - r0, k=-1, dtype=bool))
@@ -288,7 +288,7 @@ def _expand(g: Hypergraph, edge_scale: np.ndarray) -> ReducedGraph:
     indptr = np.zeros(n + 1, dtype=index_dtype)
     columns = np.arange(n, dtype=index_dtype)
     end = 0
-    for r0, r1 in row_blocks(n, n):
+    for r0, r1 in row_blocks(n):
         block = (left[r0:r1] @ right[:, r0:]).toarray()
         block += (dense[r0:r1] * dense_scale) @ dense[r0:].T
         # Row r0 + i keeps columns j > r0 + i.
@@ -369,7 +369,7 @@ def stage_basis(graph: ReducedGraph, g: Hypergraph, factor: float):
     repeats its upper one, as ``_expand`` writes them into a new array, so
     every cell has the bits of ``degree_preserving_reduce(g)`` and no
     second n x n array is held while the operands are. Returns one array
-    per ``row_blocks(n, n)`` block r0:r1, its rows' columns r0:n scaled by
+    per ``row_blocks(n)`` block r0:r1, its rows' columns r0:n scaled by
     ``factor``, with zeros on and below the diagonal: about 4·n² bytes.
     On CSR the reduction is built whole and only its scaled data array is
     returned; ``RuntimeError`` if its sparsity pattern is not ``graph``'s.
@@ -393,7 +393,7 @@ def stage_basis(graph: ReducedGraph, g: Hypergraph, factor: float):
     # The operands live only in this call, not beside the blocks below.
     _write_lower(*_operands(g, scale), out)
     blocks = []
-    for r0, r1 in row_blocks(n, n):
+    for r0, r1 in row_blocks(n):
         block = np.empty((r1 - r0, n - r0))
         np.multiply(out[r0:, r0:r1].T, factor, out=block)
         block[:, : r1 - r0][np.tri(r1 - r0, dtype=bool)] = 0.0
@@ -416,7 +416,7 @@ def combine_basis(graph: ReducedGraph, basis, alpha: float, g: Hypergraph):
         adjacency.data *= alpha
         adjacency.data += basis
         return _check_degrees(ReducedGraph(adjacency), g)
-    for (r0, r1), block in zip(row_blocks(graph.n, graph.n), basis):
+    for (r0, r1), block in zip(row_blocks(graph.n), basis):
         rect = out[r0:r1, r0:]
         rect *= alpha
         rect += block

@@ -559,12 +559,20 @@ def partition_sums_by_row(adjacency, labels, nslots):
 
 
 def reweighted_by_edge(g, partition):
-    """Cut-balance weight of every hyperedge, one bincount per edge."""
+    """Cut-balance weight of every hyperedge, one np.unique per edge.
+
+    Each of an edge's c - nnz empty clusters adds exactly 1/(0 + 1) = 1;
+    its nonzero terms 1/(k + 1), in ascending cluster order, are added by
+    one ``np.add.reduceat`` segment, whose sum does not depend on the
+    segments beside it.
+    """
+    c = partition.c
     wprime = np.empty(g.m)
     for j, edge in enumerate(g.edges):
-        counts = np.bincount(partition.assignment[edge], minlength=partition.c)
-        inv = 1.0 / (counts + 1.0)
-        wprime[j] = float(inv.sum() * (edge.size + partition.c) / g.m)
+        _, counts = np.unique(partition.assignment[edge], return_counts=True)
+        terms = 1.0 / (counts + 1.0)
+        total = (c - counts.size) + float(np.add.reduceat(terms, [0])[0])
+        wprime[j] = total * (edge.size + c) / g.m
     return wprime
 
 

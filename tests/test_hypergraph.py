@@ -88,6 +88,9 @@ class TestLoad:
             loads("1 2 1\n0 1 2\n")
         with pytest.raises(FormatError, match="positive"):
             loads("1 2 1\n-2.5 1 2\n")
+        for token in ("inf", "nan"):
+            with pytest.raises(FormatError, match="line 2: weight must be finite"):
+                loads(f"1 2 1\n{token} 1 2\n")
 
     def test_node_count_beyond_int64_rejected(self):
         with pytest.raises(FormatError, match="64-bit"):

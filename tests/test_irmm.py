@@ -201,8 +201,8 @@ def random_partition(rng, n, c):
 
 
 class TestUpdateWeightsMatchesReference:
-    """The blocked edge x cluster count table gives the per-edge oracle's
-    weights bit for bit (floats compared as int64 bit patterns)."""
+    """The nonzero pin counts give the per-edge oracle's weights bit for
+    bit (floats compared as int64 bit patterns)."""
 
     @staticmethod
     def check(g, partition, alpha=0.3):
@@ -218,7 +218,8 @@ class TestUpdateWeightsMatchesReference:
 
     @pytest.mark.parametrize("c", [1, 2, 5, 8, 9, 16, 130, 1000])
     def test_random_hypergraphs(self, c):
-        # c >= 9 takes numpy's pairwise summation, c > 128 its blocked form.
+        # From c = 3 on, the order in which the empty clusters' 1s and the
+        # nonzero terms are added shows in the bits.
         rng = np.random.default_rng(c)
         for _ in range(8):
             n = c + int(rng.integers(0, 40))
@@ -233,8 +234,8 @@ class TestUpdateWeightsMatchesReference:
         for c in (1, 3, 9, 12):
             self.check(g, random_partition(rng, 12, c))
 
-    def test_several_edge_blocks(self):
-        # 2**18 // 6000 = 43 edges per block, so 200 edges take 5 blocks.
+    def test_thousands_of_clusters_over_many_edges(self):
+        # Each edge touches at most 29 of the 5,000 or 6,000 clusters.
         rng = np.random.default_rng(8)
         n = 6000
         edges = [rng.choice(n, size=int(rng.integers(2, 30)), replace=False)
@@ -243,7 +244,8 @@ class TestUpdateWeightsMatchesReference:
         self.check(g, Partition(np.arange(n)))
         self.check(g, random_partition(rng, n, 5000))
 
-    def test_one_edge_per_block(self):
+    def test_a_quarter_million_clusters_over_three_edges(self):
+        # 7 pins against c = 2**18 + 3 clusters.
         n = 2**18 + 5
         g = Hypergraph(n, [[0, 1], [2, 3, n - 1], [5, 6]])
         self.check(g, random_partition(np.random.default_rng(9), n, n - 2))
@@ -473,7 +475,7 @@ class TestBasisReuse:
         wprime = update_weights(g.weights, g, partitions[0], 0.0)
         assert np.array_equal(bits(target.weights), bits(wprime))
         fresh = degree_preserving_reduce(target).dense
-        spans = list(row_blocks(g.n, g.n))
+        spans = list(row_blocks(g.n))
         assert len(spans) == (1 if block_cells is None else 10)
         for (r0, r1), block in zip(spans, blocks, strict=True):
             assert block.shape == (r1 - r0, g.n - r0)

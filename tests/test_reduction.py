@@ -466,7 +466,7 @@ class TestTriangleBuild:
         # all rows at the default size), so products, mirror and scan meet
         # many block edges.
         monkeypatch.setattr(reduction, "_BLOCK_CELLS", 2**12)
-        assert len(list(reduction.row_blocks(g.n, g.n))) > 20
+        assert len(list(reduction.row_blocks(g.n))) > 20
         dense, csr = both_layouts(g, degree_preserving_reduce, monkeypatch)
         A = csr.adjacency.toarray()
         assert np.array_equal(bits(dense.dense), bits(A))
