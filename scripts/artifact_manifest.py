@@ -6,9 +6,11 @@ input the partition, metrics and (for irmm) trace files of ``cluster``
 with irmm, hlouvain, ``hlouvain --shuffle`` and clique-louvain, each with
 and without ``--k 2`` and always with ``--truth``, plus the ``stats`` and
 ``eval`` output of each partition. The inputs are the seed-1 inputs of
-the benchmark's two workloads (3 sparse-hlouvain, 2 dense-irmm) and
-``GenConfig(n=200, classes=4, seed=s)`` for s = 0..29; ``--quick`` keeps
-only the n = 200 inputs of seeds 0 and 1 and takes a few seconds.
+the benchmark's two workloads (3 sparse-hlouvain, 2 dense-irmm), one
+input whose reduction takes the BLAS split but stays CSR (split-csr-1),
+and ``GenConfig(n=200, classes=4, seed=s)`` for s = 0..29: 1,296
+artifacts. ``--quick`` keeps only the n = 200 inputs of seeds 0 and 1 and
+takes a few seconds.
 
 Run from the root of a checkout, with the package under test importable:
 
@@ -44,6 +46,13 @@ BENCH_INPUTS = [
     for name in ("sparse-hlouvain", "dense-irmm")
     for _, settings, _, count in [WORKLOADS[name]]
     for j in range(count)
+]
+# Its 2-6-node hyperedges take the sparse product and its 125-166-node ones
+# the BLAS one, and the predicted fill keeps the result in CSR.
+SPLIT_INPUTS = [
+    ("split-csr-1", hm.GenConfig(
+        n=1000, classes=4, size_buckets=((0.98, 2, 6), (0.02, 125, 166)), seed=1
+    )),
 ]
 SMALL_INPUTS = [
     (f"n200-seed{s}", hm.GenConfig(n=200, classes=4, seed=s)) for s in range(30)
@@ -84,7 +93,9 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="only the n = 200 inputs of seeds 0 and 1")
     args = parser.parse_args(argv)
-    inputs = SMALL_INPUTS[:2] if args.quick else BENCH_INPUTS + SMALL_INPUTS
+    inputs = (
+        SMALL_INPUTS[:2] if args.quick else BENCH_INPUTS + SPLIT_INPUTS + SMALL_INPUTS
+    )
     print(f"hypermod from {Path(hm.__file__).parent},"
           f" {blas_threads()[0]} BLAS thread(s)", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:

@@ -12,11 +12,11 @@ harmless). New weights are blended with the old by a moving average
 controlled by ``alpha``, and the loop stops once the weight vector moves
 less than ``threshold``.
 
-The reduction is linear in the weights, so after the first round each
-round's graph is the previous one times alpha plus (1 - alpha) times the
-reduction under w', which is rebuilt only when the partition changes: it
-equals the reduction of the current weights up to rounding. The result's
-``graph`` is the final round's graph, combined that way.
+The reduction is linear in the weights, so on the dense layout a round
+after the first takes the previous graph times alpha plus (1 - alpha)
+times the reduction under w', rebuilt only when the partition changes:
+the reduction of the current weights up to rounding. On CSR each round
+reduces afresh once the previous graph is released.
 """
 
 from __future__ import annotations
@@ -133,10 +133,10 @@ def irmm(g: Hypergraph, config: IrmmConfig | None = None) -> ClusterResult:
     weights of the returned graph. If the weights never move less than the
     threshold within ``max_iters`` rounds, ``converged`` is False.
 
-    Only the first round builds through ``degree_preserving_reduce``; each
-    later one combines the previous graph, in its buffer, with the basis
-    (1 - alpha)·A(w'), which ``stage_basis`` builds again only when Louvain
-    returns a partition other than the one it was built for.
+    On the dense layout each round after the first combines the previous
+    graph, in its buffer, with the basis (1 - alpha)·A(w'), which
+    ``stage_basis`` builds again only when Louvain returns another
+    partition; on CSR each round is a fresh reduction, the only graph held.
     """
     cfg = config if config is not None else IrmmConfig()
     weights = np.array(g.weights, dtype=np.float64)
@@ -145,11 +145,12 @@ def irmm(g: Hypergraph, config: IrmmConfig | None = None) -> ClusterResult:
     graph = basis = based_on = None
     for it in range(1, cfg.max_iters + 1):
         weighted = g.with_weights(weights)
-        if graph is None:
+        # The previous round's result holds its graph; release it before a
+        # CSR round builds afresh, or a dense round reuses its buffer.
+        if graph is None or graph.dense is None:
+            graph = result = None
             graph = degree_preserving_reduce(weighted)
         else:
-            # The previous round's result holds its graph; release it
-            # before that graph's buffer becomes this round's.
             partition, result = result.partition, None
             if partition != based_on:
                 basis = None  # never hold two bases at once

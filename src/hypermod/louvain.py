@@ -69,8 +69,8 @@ class ClusterResult:
     partition: the clustering of the input graph's nodes.
     modularity: Q of ``partition`` on ``graph``, recomputed from scratch.
     graph: the reduced graph that was clustered (for irmm, the final
-    round's combined graph: the reduction of that round's weights, up to
-    rounding).
+    round's: on the dense layout combined, the reduction of that round's
+    weights up to rounding, and on CSR a fresh reduction).
     levels: one partition per level that moved a node, finest first (the
     singletons or a recut alone when none moved); each level partitions
     the previous level's clusters, and ``flatten(levels) == partition``.

@@ -181,15 +181,20 @@ class ModularityContext:
     """Mutable cluster statistics supporting incremental move evaluation.
 
     Tracks, for one ReducedGraph and a current assignment, each cluster's
-    total degree and size, and the empty cluster ids.
+    total degree and size, and the empty cluster ids. ``ValueError`` if the
+    graph stores a negative weight, which the revisit rule cannot bound.
     :meth:`local_moving` mutates it through :meth:`move`; reads are safe
     between mutations.
     """
 
     def __init__(self, graph, partition: Partition | None = None):
+        self._dense = graph.dense
+        stored = graph.adjacency.data if self._dense is None else self._dense
+        smallest = float(stored.min(initial=0.0))
+        if smallest < 0.0:
+            raise ValueError(f"edge weights must be nonnegative, not {smallest!r}")
         # Only aggregated levels have self-loops and pay for a copy without
         # them; a CSR difference stores no zero, so no diagonal entry is left.
-        self._dense = graph.dense
         if self._dense is None:
             adjacency = graph.adjacency
             if graph.self_loops.any():
@@ -284,9 +289,9 @@ class ModularityContext:
 
         A node is revisited only when the moves since its last visit could
         have lifted one of its gains above ``MIN_GAIN`` (weights and degrees
-        are nonnegative). Moving u (degree k) from cluster a to c gains
-        2(w_c - s_a)/2m - 2k(tot_c - tot_a + k)/(2m)², with w_c and s_a u's
-        weight into c and into a, self-loop excluded.
+        are nonnegative, as ``__init__`` checks). Moving u (degree k) from
+        cluster a to c gains 2(w_c - s_a)/2m - 2k(tot_c - tot_a + k)/(2m)²,
+        with w_c and s_a u's weight into c and into a, self-loop excluded.
 
         - A move of another node v (degree k_v, weight A_uv to u) changes
           each w_c - s_a by at most 2·A_uv and each tot_c - tot_a by at most

@@ -36,10 +36,11 @@ symmetric. The output is combinatorial in hyperedge size, so a dense
 copy is refused above ``DENSE_NODE_LIMIT`` nodes. Before either build,
 both reductions check that the row sums fit a float64.
 
-The degree-preserving reduction is linear in the weights: IRMM keeps
-``stage_basis``, a scaled reduction whose dense blocks the same writer
-puts into an earlier reduction's lower triangle, and ``combine_basis``
-adds it to a multiple of that reduction in its own buffer.
+The degree-preserving reduction is linear in the weights: on the dense
+layout IRMM keeps ``stage_basis``, the upper row blocks of a scaled
+reduction that the same writer puts into an earlier reduction's lower
+triangle, and ``combine_basis`` adds them to a multiple of that reduction
+in its own buffer.
 """
 
 from __future__ import annotations
@@ -361,35 +362,19 @@ def degree_preserving_reduce(g: Hypergraph) -> ReducedGraph:
 def stage_basis(graph: ReducedGraph, g: Hypergraph, factor: float):
     """``factor`` times the degree-preserving reduction of ``g``, kept for
     ``combine_basis``; ``graph`` must be that of the same hyperedges under
-    other positive weights, and is used up.
+    other positive weights, on the dense layout, and is used up.
 
-    ``g`` gets the checks of ``degree_preserving_reduce``. On the dense
-    layout ``_write_lower`` writes the reduction's upper row blocks,
-    transposed, into the strict lower triangle of ``graph``, which only
-    repeats its upper one, as ``_expand`` writes them into a new array, so
-    every cell has the bits of ``degree_preserving_reduce(g)`` and no
-    second n x n array is held while the operands are. Returns one array
-    per ``row_blocks(n)`` block r0:r1, its rows' columns r0:n scaled by
-    ``factor``, with zeros on and below the diagonal: about 4·n² bytes.
-    On CSR the reduction is built whole and only its scaled data array is
-    returned; ``RuntimeError`` if its sparsity pattern is not ``graph``'s.
+    ``g`` gets the checks of ``degree_preserving_reduce``. ``_write_lower``
+    writes the reduction's upper row blocks, transposed, into the strict
+    lower triangle of ``graph``, which only repeats its upper one, as
+    ``_expand`` writes them into a new array, so every cell has the bits of
+    ``degree_preserving_reduce(g)`` and no second n x n array is held while
+    the operands are. Returns one array per ``row_blocks(n)`` block r0:r1,
+    its rows' columns r0:n scaled by ``factor``, with zeros on and below the
+    diagonal: about 4·n² bytes.
     """
     scale = _edge_scale(g)
     out, n = graph.dense, graph.n
-    if out is None:
-        basis = _expand(g, scale).adjacency
-        adjacency = graph.adjacency
-        if not (
-            np.array_equal(basis.indptr, adjacency.indptr)
-            and np.array_equal(basis.indices, adjacency.indices)
-        ):
-            raise RuntimeError(
-                "the reweighted reduction's sparsity pattern differs from"
-                " the graph's"
-            )
-        basis.data *= factor
-        return basis.data
-
     # The operands live only in this call, not beside the blocks below.
     _write_lower(*_operands(g, scale), out)
     blocks = []
@@ -402,20 +387,15 @@ def stage_basis(graph: ReducedGraph, g: Hypergraph, factor: float):
 
 
 def combine_basis(graph: ReducedGraph, basis, alpha: float, g: Hypergraph):
-    """``alpha`` times ``graph`` plus a ``stage_basis`` result, formed in
-    the buffer of ``graph``, which is used up; the new graph's row sums
-    must match the node degrees of ``g`` as ``degree_preserving_reduce``
-    checks them.
+    """``alpha`` times the dense ``graph`` plus the row blocks of a
+    ``stage_basis`` result, formed in the buffer of ``graph``, which is used
+    up; the new graph's row sums must match the node degrees of ``g`` as
+    ``degree_preserving_reduce`` checks them.
 
     Only numpy elementwise operations: a BLAS call would wake threads that
     then spin through the Louvain run that follows.
     """
     out = graph.dense
-    if out is None:
-        adjacency = graph.adjacency
-        adjacency.data *= alpha
-        adjacency.data += basis
-        return _check_degrees(ReducedGraph(adjacency), g)
     for (r0, r1), block in zip(row_blocks(graph.n), basis):
         rect = out[r0:r1, r0:]
         rect *= alpha

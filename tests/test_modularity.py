@@ -14,6 +14,7 @@ from hypermod import (
     clique_reduce,
     degree_preserving_reduce,
     generate,
+    louvain,
     modularity,
     preprocess,
 )
@@ -352,6 +353,21 @@ class TestContextRows:
         assert not rows.diagonal().any()
         # The context zeroed a copy, not the graph's own diagonal.
         assert coarse.dense.diagonal().all()
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_negative_weight_is_refused(self, layout):
+        # The revisit rule bounds a gain's rise only for weights >= 0; with
+        # a negative one local moving could end elsewhere than the oracle.
+        a = np.array(
+            [[0, 1, 1, -0.2], [1, 0, 1, 0.5], [1, 1, 0, 1], [-0.2, 0.5, 1, 0]]
+        )
+        graph = ReducedGraph(a if layout == "dense" else sparse.csr_matrix(a))
+        assert (graph.dense is None) == (layout == "csr")
+        assert np.all(graph.node_degrees > 0)
+        with pytest.raises(ValueError, match=r"nonnegative, not -0\.2$"):
+            ModularityContext(graph)
+        with pytest.raises(ValueError, match=r"nonnegative, not -0\.2$"):
+            louvain(graph)
 
 
 def check_gains_against_recompute(n_max, max_degree):
